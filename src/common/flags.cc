@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 
@@ -74,6 +75,36 @@ void FlagParser::PrintUsage(const std::string& program) const {
     std::cout << "  --" << f.name << " (default: " << f.default_repr << ")  "
               << f.help << "\n";
   }
+}
+
+std::vector<std::pair<std::string, std::string>> FlagParser::Values() const {
+  std::vector<std::pair<std::string, std::string>> values;
+  for (const auto& f : flags_) {
+    std::string value;
+    switch (f.type) {
+      case Type::kInt64:
+        value = std::to_string(*static_cast<const int64_t*>(f.target));
+        break;
+      case Type::kDouble: {
+        const double v = *static_cast<const double*>(f.target);
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%.15g", v);
+        if (std::strtod(buf, nullptr) != v) {
+          std::snprintf(buf, sizeof(buf), "%.17g", v);
+        }
+        value = buf;
+        break;
+      }
+      case Type::kBool:
+        value = BoolRepr(*static_cast<const bool*>(f.target));
+        break;
+      case Type::kString:
+        value = *static_cast<const std::string*>(f.target);
+        break;
+    }
+    values.emplace_back(f.name, std::move(value));
+  }
+  return values;
 }
 
 Status FlagParser::Parse(int argc, char** argv) {

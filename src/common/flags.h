@@ -6,12 +6,14 @@
 //   flags.AddInt64("n", &n, "row count");
 //   COLSGD_CHECK_OK(flags.Parse(argc, argv));
 //
-// Accepts --name=value and --name value; --help prints usage and exits.
+// Accepts --name=value and --name value (booleans: --name or --name=value);
+// --help prints usage and exits.
 #ifndef COLSGD_COMMON_FLAGS_H_
 #define COLSGD_COMMON_FLAGS_H_
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -34,6 +36,11 @@ class FlagParser {
 
   /// \brief Prints registered flags with defaults and help text.
   void PrintUsage(const std::string& program) const;
+
+  /// \brief Every registered flag's name and current value, in
+  /// registration order, formatted so that Parse reads the value back
+  /// exactly.
+  std::vector<std::pair<std::string, std::string>> Values() const;
 
  private:
   enum class Type { kInt64, kDouble, kBool, kString };

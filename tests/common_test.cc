@@ -259,6 +259,51 @@ TEST(FlagsTest, ParsesAllTypes) {
   EXPECT_EQ(name, "test");
 }
 
+TEST(FlagsTest, ValuesParseBackExactly) {
+  int64_t n = -7;
+  double lr = 0.5;
+  double budget = 0.3;
+  bool verbose = true;
+  std::string name = "x";
+  FlagParser flags;
+  flags.AddInt64("n", &n, "count");
+  flags.AddDouble("lr", &lr, "rate");
+  flags.AddDouble("budget", &budget, "budget");
+  flags.AddBool("verbose", &verbose, "talky");
+  flags.AddString("name", &name, "label");
+  lr = 1.0 / 3.0;  // the current value counts; it needs 17 digits
+  const std::vector<std::pair<std::string, std::string>> values =
+      flags.Values();
+  ASSERT_EQ(values.size(), 5u);
+  EXPECT_EQ(values[0], (std::pair<std::string, std::string>{"n", "-7"}));
+  EXPECT_EQ(values[2].second, "0.3");
+  EXPECT_EQ(values[3].second, "true");
+
+  int64_t n2 = 0;
+  double lr2 = 0.0;
+  double budget2 = 0.0;
+  bool verbose2 = false;
+  std::string name2;
+  FlagParser again;
+  again.AddInt64("n", &n2, "count");
+  again.AddDouble("lr", &lr2, "rate");
+  again.AddDouble("budget", &budget2, "budget");
+  again.AddBool("verbose", &verbose2, "talky");
+  again.AddString("name", &name2, "label");
+  std::vector<std::string> args = {"prog"};
+  for (const auto& [flag, value] : values) {
+    args.push_back("--" + flag + "=" + value);
+  }
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  ASSERT_TRUE(again.Parse(static_cast<int>(argv.size()), argv.data()).ok());
+  EXPECT_EQ(n2, n);
+  EXPECT_EQ(lr2, lr);
+  EXPECT_EQ(budget2, budget);
+  EXPECT_EQ(verbose2, verbose);
+  EXPECT_EQ(name2, name);
+}
+
 TEST(FlagsTest, RejectsUnknownFlag) {
   FlagParser flags;
   const char* argv[] = {"prog", "--bogus=1"};

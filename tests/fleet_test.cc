@@ -26,7 +26,6 @@
 #include "serve/fleet.h"
 #include "serve/frontend.h"
 #include "serve/registry.h"
-#include "serve/serving_chaos.h"
 #include "serve/wire.h"
 
 namespace colsgd {
@@ -385,37 +384,6 @@ TEST(FleetTest, SingleShardFailureRedispatchesInsteadOfTimingOut) {
     if (info.attempts >= 2 && !info.hedged) saw_retry = true;
   }
   EXPECT_TRUE(saw_retry) << "no request records a failed-then-retried path";
-}
-
-// ---- Fleet chaos harness -------------------------------------------------
-
-TEST(FleetChaosTest, SchedulesAreDeterministicAndCleanSeedsPass) {
-  // Default options — the same configuration `colsgd_chaos --scenario
-  // serving_fleet` runs in CI.
-  const chaos::FleetChaosOptions options;
-  const Dataset queries = chaos::ServingQueryDataset(options.serving);
-  for (uint64_t seed : {0u, 1u, 2u}) {
-    const chaos::FleetSchedule schedule =
-        chaos::GenerateFleetSchedule(seed, options);
-    const chaos::FleetSchedule replay =
-        chaos::GenerateFleetSchedule(seed, options);
-    EXPECT_EQ(schedule.replicas, replay.replicas);
-    EXPECT_EQ(schedule.flash, replay.flash);
-    ASSERT_EQ(schedule.group_losses.size(), replay.group_losses.size());
-    ASSERT_EQ(schedule.shard_failures.size(), replay.shard_failures.size());
-    ASSERT_EQ(schedule.swaps.size(), replay.swaps.size());
-    for (size_t i = 0; i < schedule.swaps.size(); ++i) {
-      EXPECT_EQ(schedule.swaps[i].model_seed, replay.swaps[i].model_seed);
-    }
-    const chaos::FleetVerdict verdict =
-        chaos::RunFleetSchedule(options, schedule, queries, seed);
-    EXPECT_TRUE(verdict.ok()) << (verdict.violations.empty()
-                                      ? ""
-                                      : verdict.violations[0]);
-    const chaos::FleetVerdict again =
-        chaos::RunFleetSchedule(options, schedule, queries, seed);
-    EXPECT_EQ(verdict.fingerprint, again.fingerprint);
-  }
 }
 
 }  // namespace

@@ -24,7 +24,6 @@
 #include "obs/trace.h"
 #include "serve/frontend.h"
 #include "serve/registry.h"
-#include "serve/serving_chaos.h"
 #include "serve/wire.h"
 
 namespace colsgd {
@@ -534,36 +533,6 @@ TEST(GenerationRegistryTest, FlipsAtInstallCompletion) {
   EXPECT_FALSE(registry.install_pending());
   EXPECT_EQ(registry.ActiveAt(4.0), 1)
       << "once flipped, the registry never goes back";
-}
-
-// ---- Serving chaos harness ----------------------------------------------
-
-TEST(ServingChaosTest, SchedulesAreDeterministicAndCleanSeedsPass) {
-  // Default options — the same configuration `colsgd_chaos --scenario
-  // serving` runs in CI; a smaller request count would inflate the
-  // per-failure SLO fraction past the degradation budget.
-  const chaos::ServingChaosOptions options;
-  const Dataset queries = chaos::ServingQueryDataset(options);
-  const double clean = chaos::CleanSloViolationFraction(options, queries);
-  for (uint64_t seed : {0u, 1u, 2u}) {
-    const chaos::ServingSchedule schedule =
-        chaos::GenerateServingSchedule(seed, options);
-    const chaos::ServingSchedule replay =
-        chaos::GenerateServingSchedule(seed, options);
-    ASSERT_EQ(schedule.failures.size(), replay.failures.size());
-    ASSERT_EQ(schedule.swaps.size(), replay.swaps.size());
-    for (size_t i = 0; i < schedule.swaps.size(); ++i) {
-      EXPECT_EQ(schedule.swaps[i].model_seed, replay.swaps[i].model_seed);
-    }
-    const chaos::ServingVerdict verdict =
-        chaos::RunServingSchedule(options, schedule, queries, clean, seed);
-    EXPECT_TRUE(verdict.ok()) << (verdict.violations.empty()
-                                      ? ""
-                                      : verdict.violations[0]);
-    const chaos::ServingVerdict again =
-        chaos::RunServingSchedule(options, schedule, queries, clean, seed);
-    EXPECT_EQ(verdict.fingerprint, again.fingerprint);
-  }
 }
 
 }  // namespace

@@ -1,576 +1,19 @@
-// Deterministic chaos driver (DESIGN.md §10).
-//
-// For every seed in --seeds and every engine in --engines, draws a
-// randomized fault schedule (crashes, drops, corruption, partitions,
-// stragglers, torn/bit-rotted checkpoints), trains a tiny model under it
-// TWICE, and checks:
-//
-//   * the two executions produce bit-identical trace fingerprints
-//     (determinism — the whole point of a simulation-testing harness);
-//   * the chaos invariants hold (complete-or-clean-diagnosis, byte
-//     conservation, corruption detected + retransmitted, convergence
-//     within epsilon of the fault-free baseline).
-//
-// The first failing seed is re-run under a greedily shrunk schedule and
-// dumped as a JSON repro artifact (--artifact) whose "repro" field is the
-// exact command line that replays it. Exit status 1 when any seed fails.
-//
-// --scenario membership targets the elastic-membership layer instead:
-// scripted grow/shrink events mixed with crashes against a block-replicated
-// cluster, with the membership invariants — must complete, exact event
-// accounting, peer-replica recovery with zero checkpoint-storage reads,
-// bit-identical final weights vs the fixed-membership run — checked per
-// seed (chaos/chaos.h).
-//
-// --scenario ssp targets the bounded-staleness execution mode: randomized
-// slack / straggler / jitter / crash schedules against the SSP-capable
-// engines, with the staleness invariants — must complete, exactly-once
-// update accounting per consumer per clock tick, staleness <= slack,
-// slack-0 bitwise-identical to BSP, convergence — checked per seed
-// (chaos/chaos.h).
-//
-// --scenario serving targets the serving plane: shard-server failures and
-// (possibly bit-rotted) hot-swap images under sustained load, with the
-// serving invariants — no wrong answers, conservation, bounded SLO
-// degradation — checked per seed (serve/serving_chaos.h).
-//
-// --scenario serving_fleet targets the replicated fleet: whole-group
-// losses, sibling single-shard failures, coordinated (possibly corrupt)
-// swaps, and flash-crowd arrivals against the health-routed, hedging
-// router, with the stricter fleet invariants — zero timeouts with a
-// survivor, corrupt images rejected at the router, bitwise-correct scores
-// under exactly one generation fleet-wide — checked per seed.
+// Deterministic chaos driver (DESIGN.md §10). For every seed in --seeds,
+// model in --models and engine in --engines, draws the scenario's
+// randomized fault schedule, runs it TWICE, and checks that the two runs
+// agree bit-for-bit and that the scenario's invariants hold (chaos/chaos.h
+// lists the five scenarios and src/chaos/{training,serving}.cc their
+// invariants). A failing seed is shrunk to the components it needs and
+// printed with a repro command that replays it exactly; the first one is
+// also written as a JSON artifact (--artifact). Exit status: 0 when every
+// seed passes, 1 when one fails, 2 for a bad invocation.
 //
 //   colsgd_chaos --seeds 0..31 --engines all
-//   colsgd_chaos --seeds 17 --engines petuum --verbose true
+//   colsgd_chaos --seeds 17 --engines petuum --verbose
 //   colsgd_chaos --scenario membership --seeds 0..15 --engines all
 //   colsgd_chaos --scenario ssp --seeds 0..15 --engines all
 //   colsgd_chaos --scenario serving --seeds 0..15 --models lr
 //   colsgd_chaos --scenario serving_fleet --seeds 0..15 --models lr
-#include <cstdio>
-#include <cstdlib>
-#include <string>
-#include <vector>
-
 #include "chaos/chaos.h"
-#include "common/check.h"
-#include "common/flags.h"
-#include "serve/serving_chaos.h"
 
-namespace colsgd {
-namespace {
-
-using chaos::ChaosOptions;
-using chaos::ChaosSchedule;
-using chaos::ChaosVerdict;
-
-std::vector<std::string> SplitList(const std::string& text) {
-  std::vector<std::string> out;
-  std::string item;
-  for (char c : text) {
-    if (c == ',') {
-      if (!item.empty()) out.push_back(item);
-      item.clear();
-    } else {
-      item += c;
-    }
-  }
-  if (!item.empty()) out.push_back(item);
-  return out;
-}
-
-// "0..31" (inclusive range), "7", or "3,9,12".
-std::vector<uint64_t> ParseSeeds(const std::string& spec) {
-  std::vector<uint64_t> seeds;
-  const size_t dots = spec.find("..");
-  if (dots != std::string::npos) {
-    const uint64_t lo = std::strtoull(spec.substr(0, dots).c_str(), nullptr, 10);
-    const uint64_t hi =
-        std::strtoull(spec.substr(dots + 2).c_str(), nullptr, 10);
-    COLSGD_CHECK(hi >= lo) << "bad --seeds range: " << spec;
-    for (uint64_t s = lo; s <= hi; ++s) seeds.push_back(s);
-    return seeds;
-  }
-  for (const std::string& item : SplitList(spec)) {
-    seeds.push_back(std::strtoull(item.c_str(), nullptr, 10));
-  }
-  COLSGD_CHECK(!seeds.empty()) << "empty --seeds: " << spec;
-  return seeds;
-}
-
-/// \brief The --scenario membership loop: scripted grow/shrink + crash
-/// schedules against the elastic engines (block replication, DESIGN.md §14).
-/// Same structure as the training loop — two runs per seed, fingerprint
-/// compare, repro artifact on the first failure — with the membership
-/// invariants (must complete, event accounting, peer-replica recovery with
-/// zero checkpoint reads, bit-identical final weights) instead.
-int RunMembershipSeeds(const chaos::MembershipChaosOptions& base,
-                       const std::vector<std::string>& engines,
-                       const std::vector<std::string>& models,
-                       const std::vector<uint64_t>& seeds,
-                       const std::string& artifact, bool verbose) {
-  int64_t runs = 0;
-  int64_t failures = 0;
-  bool artifact_written = false;
-  const Dataset dataset = chaos::ChaosDataset(base.base);
-  for (const std::string& model : models) {
-    for (const std::string& engine : engines) {
-      chaos::MembershipChaosOptions options = base;
-      options.base.engine = engine;
-      options.base.model = model;
-      const chaos::MembershipBaseline baseline =
-          chaos::MembershipCleanBaseline(options.base, dataset);
-      if (verbose) {
-        std::printf("[membership %s x %s] fault-free loss %.6f weights crc "
-                    "%08x\n",
-                    engine.c_str(), model.c_str(), baseline.clean_loss,
-                    baseline.weights_crc);
-      }
-      for (uint64_t seed : seeds) {
-        const chaos::MembershipSchedule schedule =
-            chaos::GenerateMembershipSchedule(seed, options);
-        chaos::ChaosVerdict verdict = chaos::RunMembershipSchedule(
-            options, schedule, dataset, baseline, seed);
-        const chaos::ChaosVerdict replay = chaos::RunMembershipSchedule(
-            options, schedule, dataset, baseline, seed);
-        ++runs;
-        if (replay.fingerprint != verdict.fingerprint) {
-          verdict.violations.push_back(
-              "nondeterministic: replay fingerprint " +
-              std::to_string(replay.fingerprint) + " != " +
-              std::to_string(verdict.fingerprint));
-        }
-        if (verbose) {
-          std::printf("[membership %s x %s] seed %llu %s fp=%08x  %s\n",
-                      engine.c_str(), model.c_str(),
-                      static_cast<unsigned long long>(seed),
-                      verdict.ok() ? "ok  " : "FAIL", verdict.fingerprint,
-                      chaos::DescribeMembershipSchedule(schedule).c_str());
-        }
-        if (verdict.ok()) continue;
-        ++failures;
-        std::printf("[membership %s x %s] seed %llu FAILED (%s):\n",
-                    engine.c_str(), model.c_str(),
-                    static_cast<unsigned long long>(seed),
-                    chaos::DescribeMembershipSchedule(schedule).c_str());
-        for (const std::string& v : verdict.violations) {
-          std::printf("  - %s\n", v.c_str());
-        }
-        std::printf("  repro: %s\n",
-                    chaos::MembershipReproCommand(options, seed).c_str());
-        if (!artifact.empty() && !artifact_written) {
-          const std::string json =
-              chaos::MembershipArtifactJson(options, seed, schedule, verdict);
-          std::FILE* f = std::fopen(artifact.c_str(), "w");
-          if (f != nullptr) {
-            std::fwrite(json.data(), 1, json.size(), f);
-            std::fclose(f);
-            std::printf("  artifact: %s\n", artifact.c_str());
-            artifact_written = true;
-          }
-        }
-      }
-    }
-  }
-  std::printf("chaos(membership): %lld schedule(s), %lld failure(s)\n",
-              static_cast<long long>(runs), static_cast<long long>(failures));
-  return failures == 0 ? 0 : 1;
-}
-
-/// \brief The --scenario ssp loop: randomized slack / straggler / crash
-/// schedules against the bounded-staleness engines (DESIGN.md §15). Same
-/// structure as the training loop — two runs per seed, fingerprint compare,
-/// repro artifact on the first failure — with the SSP invariants (must
-/// complete, exactly-once update accounting, staleness bound, slack-0
-/// bitwise-BSP, convergence) instead.
-int RunSspSeeds(const chaos::SspChaosOptions& base,
-                const std::vector<std::string>& engines,
-                const std::vector<std::string>& models,
-                const std::vector<uint64_t>& seeds,
-                const std::string& artifact, bool verbose) {
-  int64_t runs = 0;
-  int64_t failures = 0;
-  bool artifact_written = false;
-  const Dataset dataset = chaos::ChaosDataset(base.base);
-  for (const std::string& model : models) {
-    for (const std::string& engine : engines) {
-      chaos::SspChaosOptions options = base;
-      options.base.engine = engine;
-      options.base.model = model;
-      const double clean_loss =
-          chaos::RunCleanBaseline(options.base, dataset);
-      if (verbose) {
-        std::printf("[ssp %s x %s] fault-free loss %.6f\n", engine.c_str(),
-                    model.c_str(), clean_loss);
-      }
-      for (uint64_t seed : seeds) {
-        const chaos::SspSchedule schedule =
-            chaos::GenerateSspSchedule(seed, options);
-        chaos::ChaosVerdict verdict = chaos::RunSspSchedule(
-            options, schedule, dataset, clean_loss, seed);
-        const chaos::ChaosVerdict replay = chaos::RunSspSchedule(
-            options, schedule, dataset, clean_loss, seed);
-        ++runs;
-        if (replay.fingerprint != verdict.fingerprint) {
-          verdict.violations.push_back(
-              "nondeterministic: replay fingerprint " +
-              std::to_string(replay.fingerprint) + " != " +
-              std::to_string(verdict.fingerprint));
-        }
-        if (verbose) {
-          std::printf("[ssp %s x %s] seed %llu %s fp=%08x  %s\n",
-                      engine.c_str(), model.c_str(),
-                      static_cast<unsigned long long>(seed),
-                      verdict.ok() ? "ok  " : "FAIL", verdict.fingerprint,
-                      chaos::DescribeSspSchedule(schedule).c_str());
-        }
-        if (verdict.ok()) continue;
-        ++failures;
-        std::printf("[ssp %s x %s] seed %llu FAILED (%s):\n", engine.c_str(),
-                    model.c_str(), static_cast<unsigned long long>(seed),
-                    chaos::DescribeSspSchedule(schedule).c_str());
-        for (const std::string& v : verdict.violations) {
-          std::printf("  - %s\n", v.c_str());
-        }
-        std::printf("  repro: %s\n",
-                    chaos::SspReproCommand(options, seed).c_str());
-        if (!artifact.empty() && !artifact_written) {
-          const std::string json =
-              chaos::SspArtifactJson(options, seed, schedule, verdict);
-          std::FILE* f = std::fopen(artifact.c_str(), "w");
-          if (f != nullptr) {
-            std::fwrite(json.data(), 1, json.size(), f);
-            std::fclose(f);
-            std::printf("  artifact: %s\n", artifact.c_str());
-            artifact_written = true;
-          }
-        }
-      }
-    }
-  }
-  std::printf("chaos(ssp): %lld schedule(s), %lld failure(s)\n",
-              static_cast<long long>(runs), static_cast<long long>(failures));
-  return failures == 0 ? 0 : 1;
-}
-
-/// \brief The --scenario serving loop: same structure as the training one
-/// (two runs per seed, fingerprint compare, repro artifact on the first
-/// failure), with the serving invariants instead of the training ones.
-int RunServingSeeds(const chaos::ServingChaosOptions& base,
-                    const std::vector<std::string>& models,
-                    const std::vector<uint64_t>& seeds,
-                    const std::string& artifact, bool verbose) {
-  int64_t runs = 0;
-  int64_t failures = 0;
-  bool artifact_written = false;
-  for (const std::string& model : models) {
-    chaos::ServingChaosOptions options = base;
-    options.model = model;
-    const Dataset queries = chaos::ServingQueryDataset(options);
-    const double clean = chaos::CleanSloViolationFraction(options, queries);
-    if (verbose) {
-      std::printf("[serving x %s] fault-free SLO violation fraction %.4f\n",
-                  model.c_str(), clean);
-    }
-    for (uint64_t seed : seeds) {
-      const chaos::ServingSchedule schedule =
-          chaos::GenerateServingSchedule(seed, options);
-      chaos::ServingVerdict verdict =
-          chaos::RunServingSchedule(options, schedule, queries, clean, seed);
-      const chaos::ServingVerdict replay =
-          chaos::RunServingSchedule(options, schedule, queries, clean, seed);
-      ++runs;
-      if (replay.fingerprint != verdict.fingerprint) {
-        verdict.violations.push_back(
-            "nondeterministic: replay fingerprint " +
-            std::to_string(replay.fingerprint) + " != " +
-            std::to_string(verdict.fingerprint));
-      }
-      if (verbose) {
-        std::printf("[serving x %s] seed %llu %s fp=%016llx  %s\n",
-                    model.c_str(), static_cast<unsigned long long>(seed),
-                    verdict.ok() ? "ok  " : "FAIL",
-                    static_cast<unsigned long long>(verdict.fingerprint),
-                    chaos::DescribeServingSchedule(schedule).c_str());
-      }
-      if (verdict.ok()) continue;
-      ++failures;
-      std::printf("[serving x %s] seed %llu FAILED:\n", model.c_str(),
-                  static_cast<unsigned long long>(seed));
-      for (const std::string& v : verdict.violations) {
-        std::printf("  - %s\n", v.c_str());
-      }
-      std::printf("  repro: %s\n",
-                  chaos::ServingReproCommand(options, seed).c_str());
-      if (!artifact.empty() && !artifact_written) {
-        const std::string json =
-            chaos::ServingArtifactJson(options, seed, schedule, verdict);
-        std::FILE* f = std::fopen(artifact.c_str(), "w");
-        if (f != nullptr) {
-          std::fwrite(json.data(), 1, json.size(), f);
-          std::fclose(f);
-          std::printf("  artifact: %s\n", artifact.c_str());
-          artifact_written = true;
-        }
-      }
-    }
-  }
-  std::printf("chaos(serving): %lld schedule(s), %lld failure(s)\n",
-              static_cast<long long>(runs), static_cast<long long>(failures));
-  return failures == 0 ? 0 : 1;
-}
-
-/// \brief The --scenario serving_fleet loop: randomized whole-group losses,
-/// sibling shard failures, coordinated swaps, and flash crowds against the
-/// replicated fleet. Same structure as the serving loop — two runs per
-/// seed, fingerprint compare, repro artifact on the first failure — with
-/// the stricter fleet invariants.
-int RunFleetSeeds(const chaos::FleetChaosOptions& base,
-                  const std::vector<std::string>& models,
-                  const std::vector<uint64_t>& seeds,
-                  const std::string& artifact, bool verbose) {
-  int64_t runs = 0;
-  int64_t failures = 0;
-  bool artifact_written = false;
-  for (const std::string& model : models) {
-    chaos::FleetChaosOptions options = base;
-    options.serving.model = model;
-    const Dataset queries = chaos::ServingQueryDataset(options.serving);
-    for (uint64_t seed : seeds) {
-      const chaos::FleetSchedule schedule =
-          chaos::GenerateFleetSchedule(seed, options);
-      chaos::FleetVerdict verdict =
-          chaos::RunFleetSchedule(options, schedule, queries, seed);
-      const chaos::FleetVerdict replay =
-          chaos::RunFleetSchedule(options, schedule, queries, seed);
-      ++runs;
-      if (replay.fingerprint != verdict.fingerprint) {
-        verdict.violations.push_back(
-            "nondeterministic: replay fingerprint " +
-            std::to_string(replay.fingerprint) + " != " +
-            std::to_string(verdict.fingerprint));
-      }
-      if (verbose) {
-        std::printf("[fleet x %s] seed %llu %s fp=%016llx  %s\n",
-                    model.c_str(), static_cast<unsigned long long>(seed),
-                    verdict.ok() ? "ok  " : "FAIL",
-                    static_cast<unsigned long long>(verdict.fingerprint),
-                    chaos::DescribeFleetSchedule(schedule).c_str());
-      }
-      if (verdict.ok()) continue;
-      ++failures;
-      std::printf("[fleet x %s] seed %llu FAILED (%s):\n", model.c_str(),
-                  static_cast<unsigned long long>(seed),
-                  chaos::DescribeFleetSchedule(schedule).c_str());
-      for (const std::string& v : verdict.violations) {
-        std::printf("  - %s\n", v.c_str());
-      }
-      std::printf("  repro: %s\n",
-                  chaos::FleetReproCommand(options, seed).c_str());
-      if (!artifact.empty() && !artifact_written) {
-        const std::string json =
-            chaos::FleetArtifactJson(options, seed, schedule, verdict);
-        std::FILE* f = std::fopen(artifact.c_str(), "w");
-        if (f != nullptr) {
-          std::fwrite(json.data(), 1, json.size(), f);
-          std::fclose(f);
-          std::printf("  artifact: %s\n", artifact.c_str());
-          artifact_written = true;
-        }
-      }
-    }
-  }
-  std::printf("chaos(serving_fleet): %lld schedule(s), %lld failure(s)\n",
-              static_cast<long long>(runs), static_cast<long long>(failures));
-  return failures == 0 ? 0 : 1;
-}
-
-int RunDriver(int argc, char** argv) {
-  std::string scenario = "train";
-  std::string seeds_spec = "0..31";
-  std::string engines = "all";
-  std::string models = "lr";
-  std::string artifact = "chaos_repro.json";
-  ChaosOptions base;
-  int64_t workers = base.workers;
-  int64_t batch_size = static_cast<int64_t>(base.batch_size);
-  int64_t block_rows = static_cast<int64_t>(base.block_rows);
-  int64_t data_rows = static_cast<int64_t>(base.data_rows);
-  int64_t data_features = static_cast<int64_t>(base.data_features);
-  bool verbose = false;
-
-  chaos::ServingChaosOptions serving;
-  int64_t shards = serving.num_shards;
-
-  chaos::MembershipChaosOptions membership;
-  int64_t replication = membership.replication;
-  int64_t spares = membership.spare_workers;
-
-  chaos::SspChaosOptions ssp;
-  int64_t slack = ssp.slack;
-
-  FlagParser flags;
-  flags.AddString("scenario", &scenario,
-                  "'train' (fault schedules against the training engines), "
-                  "'membership' (elastic grow/shrink/crash with block "
-                  "replication), 'ssp' (bounded-staleness schedules with "
-                  "update accounting), 'serving' (shard failures + hot "
-                  "swaps under load), or 'serving_fleet' (whole-group "
-                  "losses + flash crowds against the replicated fleet)");
-  flags.AddString("seeds", &seeds_spec, "seed range 'a..b' or list 'a,b,c'");
-  flags.AddString("engines", &engines,
-                  "comma list of engines, or 'all' "
-                  "(columnsgd,mllib,mllib_star,petuum,mxnet)");
-  flags.AddString("models", &models, "comma list of models (lr, svm, ...)");
-  flags.AddInt64("workers", &workers, "cluster size");
-  flags.AddInt64("iterations", &base.iterations, "SGD iterations per run");
-  flags.AddInt64("batch_size", &batch_size, "mini-batch size");
-  flags.AddInt64("block_rows", &block_rows, "rows per storage block");
-  flags.AddDouble("learning_rate", &base.learning_rate, "SGD step size");
-  flags.AddInt64("data_rows", &data_rows, "synthetic dataset rows");
-  flags.AddInt64("data_features", &data_features, "synthetic dataset dim");
-  flags.AddDouble("epsilon", &base.epsilon,
-                  "convergence tolerance vs the fault-free run");
-  flags.AddString("artifact", &artifact,
-                  "path for the failing-seed repro JSON ('' disables)");
-  flags.AddBool("verbose", &verbose, "print one line per seed");
-  flags.AddInt64("replication", &replication,
-                 "membership: extra block copies r (-1 draws 1..3 per seed)");
-  flags.AddInt64("spares", &spares,
-                 "membership: spare ranks a grow can activate");
-  flags.AddInt64("slack", &slack,
-                 "ssp: staleness bound (-1 draws 0/1/2/4 per seed)");
-  flags.AddInt64("shards", &shards, "serving: number of shard servers");
-  flags.AddInt64("requests", &serving.num_requests,
-                 "serving: requests per schedule");
-  flags.AddDouble("rate", &serving.rate, "serving: arrival rate, req/s");
-  flags.AddDouble("degradation_budget", &serving.degradation_budget,
-                  "serving: allowed SLO-violation increase per failure");
-  COLSGD_CHECK_OK(flags.Parse(argc, argv));
-
-  if (scenario == "membership") {
-    membership.base = base;
-    membership.base.workers = static_cast<int>(workers);
-    membership.base.batch_size = static_cast<size_t>(batch_size);
-    membership.base.block_rows = static_cast<size_t>(block_rows);
-    membership.base.data_rows = static_cast<uint64_t>(data_rows);
-    membership.base.data_features = static_cast<uint64_t>(data_features);
-    membership.replication = static_cast<int>(replication);
-    membership.spare_workers = static_cast<int>(spares);
-    // Only the engines that report SupportsMembership.
-    if (engines == "all") engines = "columnsgd,petuum";
-    return RunMembershipSeeds(membership, SplitList(engines),
-                              SplitList(models), ParseSeeds(seeds_spec),
-                              artifact, verbose);
-  }
-  if (scenario == "ssp") {
-    ssp.base = base;
-    ssp.base.workers = static_cast<int>(workers);
-    ssp.base.batch_size = static_cast<size_t>(batch_size);
-    ssp.base.block_rows = static_cast<size_t>(block_rows);
-    ssp.base.data_rows = static_cast<uint64_t>(data_rows);
-    ssp.base.data_features = static_cast<uint64_t>(data_features);
-    ssp.slack = static_cast<int>(slack);
-    // Only the bounded-staleness-capable engines.
-    if (engines == "all") engines = "columnsgd,petuum,mxnet";
-    return RunSspSeeds(ssp, SplitList(engines), SplitList(models),
-                       ParseSeeds(seeds_spec), artifact, verbose);
-  }
-  if (scenario == "serving" || scenario == "serving_fleet") {
-    serving.num_shards = static_cast<int>(shards);
-    serving.data_rows = static_cast<uint64_t>(data_rows);
-    serving.data_features = static_cast<uint64_t>(data_features);
-    serving.data_seed = base.data_seed;
-    if (scenario == "serving_fleet") {
-      chaos::FleetChaosOptions fleet;
-      fleet.serving = serving;
-      return RunFleetSeeds(fleet, SplitList(models), ParseSeeds(seeds_spec),
-                           artifact, verbose);
-    }
-    return RunServingSeeds(serving, SplitList(models), ParseSeeds(seeds_spec),
-                           artifact, verbose);
-  }
-  COLSGD_CHECK(scenario == "train") << "unknown --scenario: " << scenario;
-
-  base.workers = static_cast<int>(workers);
-  base.batch_size = static_cast<size_t>(batch_size);
-  base.block_rows = static_cast<size_t>(block_rows);
-  base.data_rows = static_cast<uint64_t>(data_rows);
-  base.data_features = static_cast<uint64_t>(data_features);
-
-  if (engines == "all") {
-    engines = "columnsgd,mllib,mllib_star,petuum,mxnet";
-  }
-  const std::vector<uint64_t> seeds = ParseSeeds(seeds_spec);
-  const Dataset dataset = chaos::ChaosDataset(base);
-
-  int64_t runs = 0;
-  int64_t failures = 0;
-  bool artifact_written = false;
-  for (const std::string& model : SplitList(models)) {
-    for (const std::string& engine : SplitList(engines)) {
-      ChaosOptions options = base;
-      options.engine = engine;
-      options.model = model;
-      const double clean_loss = chaos::RunCleanBaseline(options, dataset);
-      if (verbose) {
-        std::printf("[%s x %s] fault-free loss %.6f\n", engine.c_str(),
-                    model.c_str(), clean_loss);
-      }
-      for (uint64_t seed : seeds) {
-        const ChaosSchedule schedule = chaos::GenerateSchedule(seed, options);
-        ChaosVerdict verdict =
-            chaos::RunSchedule(options, schedule, dataset, clean_loss, seed);
-        const ChaosVerdict replay =
-            chaos::RunSchedule(options, schedule, dataset, clean_loss, seed);
-        ++runs;
-        if (replay.fingerprint != verdict.fingerprint) {
-          verdict.violations.push_back(
-              "nondeterministic: replay fingerprint " +
-              std::to_string(replay.fingerprint) + " != " +
-              std::to_string(verdict.fingerprint));
-        }
-        if (verbose) {
-          std::printf("[%s x %s] seed %llu %s fp=%08x  %s\n", engine.c_str(),
-                      model.c_str(), static_cast<unsigned long long>(seed),
-                      verdict.ok() ? "ok  " : "FAIL",
-                      verdict.fingerprint,
-                      chaos::DescribeSchedule(schedule).c_str());
-        }
-        if (verdict.ok()) continue;
-        ++failures;
-        std::printf("[%s x %s] seed %llu FAILED:\n", engine.c_str(),
-                    model.c_str(), static_cast<unsigned long long>(seed));
-        for (const std::string& v : verdict.violations) {
-          std::printf("  - %s\n", v.c_str());
-        }
-        int extra_runs = 0;
-        const ChaosSchedule shrunk = chaos::ShrinkSchedule(
-            options, schedule, dataset, clean_loss, seed, &extra_runs);
-        std::printf("  shrunk (%d extra runs): %s\n", extra_runs,
-                    chaos::DescribeSchedule(shrunk).c_str());
-        std::printf("  repro: %s\n",
-                    chaos::ReproCommand(options, seed).c_str());
-        if (!artifact.empty() && !artifact_written) {
-          const std::string json = chaos::ReproArtifactJson(
-              options, seed, schedule, shrunk, verdict);
-          std::FILE* f = std::fopen(artifact.c_str(), "w");
-          if (f != nullptr) {
-            std::fwrite(json.data(), 1, json.size(), f);
-            std::fclose(f);
-            std::printf("  artifact: %s\n", artifact.c_str());
-            artifact_written = true;
-          }
-        }
-      }
-    }
-  }
-  std::printf("chaos: %lld schedule(s), %lld failure(s)\n",
-              static_cast<long long>(runs), static_cast<long long>(failures));
-  return failures == 0 ? 0 : 1;
-}
-
-}  // namespace
-}  // namespace colsgd
-
-int main(int argc, char** argv) { return colsgd::RunDriver(argc, argv); }
+int main(int argc, char** argv) { return colsgd::chaos::RunChaos(argc, argv); }
