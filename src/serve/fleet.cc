@@ -640,7 +640,11 @@ Status ServeFleet::Run(const std::vector<ServeRequest>& arrivals) {
     return false;
   };
 
-  while (next < arrivals.size() || !queue.empty() || open_work() ||
+  // open_work() runs first on every iteration, so the cursor never lags
+  // while arrivals remain and each event scans only the batches in flight.
+  // Skipping is exact: a dead batch offers no note or hedge event, and
+  // nothing reopens it (DESIGN.md §17).
+  while (open_work() || next < arrivals.size() || !queue.empty() ||
          pending_events()) {
     // ---- Candidate events, chronological with a fixed tie order:
     // completion note < group-loss detection < fleet swap < hedge timer <
