@@ -1,6 +1,7 @@
 #include "serve/inference.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "linalg/kernels/kernels.h"
 #include "model/factory.h"
@@ -44,26 +45,31 @@ std::vector<CsrBatch> SplitBatchByShard(
     const std::vector<SparseVectorView>& rows,
     const ColumnPartitioner& partitioner) {
   const int num_shards = partitioner.num_workers();
-  std::vector<CsrBatch> slices(num_shards);
-  // Scratch split of one row, reused across rows.
+  size_t batch_nnz = 0;
+  for (const SparseVectorView& row : rows) batch_nnz += row.nnz;
+  // Each shard's CSR arrays are sized once (no shard holds more than the
+  // batch's nonzeros), filled straight from the rows, then adopted.
   std::vector<std::vector<uint32_t>> idx(num_shards);
   std::vector<std::vector<float>> val(num_shards);
+  std::vector<std::vector<uint64_t>> offsets(num_shards, {0});
+  for (int k = 0; k < num_shards; ++k) {
+    idx[k].reserve(batch_nnz);
+    val[k].reserve(batch_nnz);
+    offsets[k].reserve(rows.size() + 1);
+  }
   for (const SparseVectorView& row : rows) {
-    for (auto& v : idx) v.clear();
-    for (auto& v : val) v.clear();
     for (size_t i = 0; i < row.nnz; ++i) {
       const uint64_t f = row.indices[i];
       const int owner = partitioner.Owner(f);
       idx[owner].push_back(static_cast<uint32_t>(partitioner.LocalIndex(f)));
       val[owner].push_back(row.values[i]);
     }
-    for (int k = 0; k < num_shards; ++k) {
-      if (idx[k].empty()) {
-        slices[k].AppendEmptyRow();
-      } else {
-        slices[k].AppendRow(idx[k].data(), val[k].data(), idx[k].size());
-      }
-    }
+    for (int k = 0; k < num_shards; ++k) offsets[k].push_back(idx[k].size());
+  }
+  std::vector<CsrBatch> slices(num_shards);
+  for (int k = 0; k < num_shards; ++k) {
+    slices[k].Adopt(std::move(idx[k]), std::move(val[k]),
+                    std::move(offsets[k]));
   }
   return slices;
 }
