@@ -127,9 +127,11 @@ class BufferReader {
   template <typename T>
   Result<std::vector<T>> GetVector(const char* what) {
     COLSGD_ASSIGN_OR_RETURN(uint64_t n, GetU64());
-    if (Remaining() < n * sizeof(T)) return Truncated(what);
+    // Divide rather than multiply: a hostile prefix would wrap n * sizeof(T).
+    if (n > Remaining() / sizeof(T)) return Truncated(what);
     std::vector<T> v(n);
-    std::memcpy(v.data(), data_ + pos_, n * sizeof(T));
+    // An empty vector's data() may be null, which memcpy must not see.
+    if (n > 0) std::memcpy(v.data(), data_ + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return v;
   }

@@ -167,6 +167,17 @@ TEST(BytesTest, CorruptLengthPrefixDoesNotOverflow) {
   EXPECT_FALSE(reader.GetDoubleVector().ok());
 }
 
+TEST(BytesTest, WrappingLengthPrefixIsSerializationError) {
+  // (2^61 + 1) * sizeof(double) wraps to 8, which the one double that
+  // follows would satisfy if the check multiplied.
+  BufferWriter writer;
+  writer.PutU64((1ull << 61) + 1);
+  writer.PutDouble(1.0);
+  BufferReader reader(writer.buffer());
+  EXPECT_EQ(reader.GetDoubleVector().status().code(),
+            StatusCode::kSerializationError);
+}
+
 TEST(RngTest, DeterministicForSameSeed) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) {
