@@ -34,8 +34,12 @@
 #include <vector>
 
 #include "common/flags.h"
+#include "common/status.h"
 
 namespace colsgd {
+
+class ModelSpec;
+
 namespace chaos {
 
 /// \brief Verdict of one schedule run.
@@ -71,6 +75,11 @@ class Scenario {
   /// \brief The engines the scenario supports (what --engines all means);
   /// empty when it takes no --engines.
   virtual std::vector<std::string> Engines() const { return {}; }
+  /// \brief Rejects, before any seed runs, a configuration the scenario
+  /// cannot run: a flag value out of range, or a model it cannot use.
+  virtual Status Validate(const ModelSpec& /*model*/) const {
+    return Status::OK();
+  }
   /// \brief Builds the per-configuration state (dataset, fault-free
   /// yardstick) once before a configuration's seeds run. Returns a
   /// one-line summary of the yardstick, or "".

@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "chaos/scenarios.h"
+#include "model/factory.h"
 #include "obs/bench/json.h"
 #include "storage/atomic_file.h"
 
@@ -221,6 +222,12 @@ int RunChaos(int argc, char** argv, const ScenarioFactory& make) {
   const std::vector<std::string> model_list = SplitList(models);
   if (engine_list.empty() || model_list.empty()) {
     return Usage(flags, argv[0], "empty --engines or --models");
+  }
+  for (const std::string& model : model_list) {
+    Result<std::unique_ptr<ModelSpec>> spec = CreateModel(model);
+    const Status valid =
+        spec.ok() ? scenario->Validate(**spec) : spec.status();
+    if (!valid.ok()) return Usage(flags, argv[0], valid.ToString());
   }
 
   int64_t runs = 0;

@@ -77,6 +77,13 @@ class ServingScenario : public Scenario {
                      "allowed SLO-violation increase per fault");
   }
 
+  Status Validate(const ModelSpec& model) const override {
+    if (!model.SupportsStatScore()) {
+      return Status::InvalidArgument(model.name() + " is not servable");
+    }
+    return FleetConfig::Validate(Config({}, 0));
+  }
+
   std::string Prepare(const std::string& /*engine*/,
                       const std::string& model) override {
     model_ = model;

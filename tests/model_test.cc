@@ -333,6 +333,16 @@ TEST(FactoryTest, BuildsAllModels) {
   EXPECT_DEATH(MakeModel("resnet"), "unknown model");
 }
 
+TEST(FactoryTest, CreateModelRejectsBadNamesWithoutAborting) {
+  EXPECT_EQ((*CreateModel("mlp16"))->name(), MakeModel("mlp16")->name());
+  for (const char* bad :
+       {"resnet", "", "mlp", "mlpx", "mlp0", "mlr1", "fm", "fm-3", "fm 3",
+        "mlr9999999"}) {
+    Result<std::unique_ptr<ModelSpec>> model = CreateModel(bad);
+    EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
 TEST(GradAccumulatorTest, TracksTouchedSlotsAndResets) {
   GradAccumulator grad(10);
   grad.Add(3, 1.0);
