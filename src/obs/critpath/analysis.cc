@@ -230,8 +230,6 @@ class Walker {
             stage = MsgStage::kTxDone;
             break;
           }
-          const double wire =
-              static_cast<double>(op.bytes) / dag_.net_bandwidth;
           const double arrival = op.tx_done + dag_.net_latency;
           if (op.rx_done > arrival) {
             // Receive-bound: the in NIC drained for the full wire time.

@@ -35,7 +35,9 @@ TEST(SyntheticTest, MatchesSpecShape) {
     ASSERT_GE(row.nnz, 1u);
     for (size_t j = 0; j < row.nnz; ++j) {
       ASSERT_LT(row.indices[j], d.num_features);
-      if (j > 0) ASSERT_LT(row.indices[j - 1], row.indices[j]);  // sorted uniq
+      if (j > 0) {
+        ASSERT_LT(row.indices[j - 1], row.indices[j]);  // sorted uniq
+      }
     }
   }
 }

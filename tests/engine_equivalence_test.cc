@@ -138,7 +138,7 @@ TEST(ColumnSgdExactnessTest, AdaptiveOptimizersAlsoExact) {
   // AdaGrad/Adam state is per-slot and partitions with the model, so the
   // distributed run stays exactly equivalent (Section III-A remark).
   Dataset d = TestData();
-  for (const std::string& opt : {"adagrad", "adam"}) {
+  for (const char* opt : {"adagrad", "adam"}) {
     TrainConfig config = Config("lr");
     config.optimizer = opt;
     config.learning_rate = 0.05;

@@ -111,7 +111,7 @@ TEST(IntegrationTest, ColumnSgdBeatsRowSgdPerIterationOnWideModels) {
   options.iterations = 5;
 
   std::map<std::string, double> iter_time;
-  for (const std::string& name : {"columnsgd", "mllib", "petuum"}) {
+  for (const char* name : {"columnsgd", "mllib", "petuum"}) {
     auto engine = MakeEngine(name, Cluster(), config);
     TrainResult result = RunTraining(engine.get(), d, options);
     ASSERT_TRUE(result.status.ok()) << name;

@@ -2,7 +2,7 @@
 // by the bench binaries via bench::BenchRunner) against checked-in baselines
 // and fails on regressions. This is the CI perf/convergence gate. Examples:
 //
-//   colsgd_report bench/baselines/BENCH_fig8_convergence.json \
+//   colsgd_report bench/baselines/BENCH_fig8_convergence.json
 //                 BENCH_fig8_convergence.json
 //   colsgd_report bench/baselines .          # pair up BENCH_*.json by name
 //   colsgd_report --check BENCH_*.json       # schema validation only

@@ -5,9 +5,9 @@
 // cost summary. Examples:
 //
 //   colsgd_train --data train.libsvm --model lr --engine columnsgd
-//   colsgd_train --synthetic kddb-sim --model fm10 --engine mxnet \
+//   colsgd_train --synthetic kddb-sim --model fm10 --engine mxnet
 //                --iterations 500 --batch_size 1000 --lr 1.0
-//   colsgd_train --synthetic avazu-sim --engine columnsgd --workers 16 \
+//   colsgd_train --synthetic avazu-sim --engine columnsgd --workers 16
 //                --optimizer adam --lr 0.01 --trace_csv trace.csv
 //   colsgd_train --synthetic tiny --engine columnsgd --staleness 2
 #include <cstdio>
