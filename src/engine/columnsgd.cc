@@ -27,16 +27,9 @@ ColumnSgdEngine::ColumnSgdEngine(const ClusterSpec& cluster_spec,
 }
 
 void ColumnSgdEngine::InitGroupModel(int group, GroupState* state) {
-  const int wpf = model_->weights_per_feature();
   state->local_dim = partitioner_->LocalDim(group);
-  state->weights.assign(state->local_dim * wpf, 0.0);
-  for (uint64_t lf = 0; lf < state->local_dim; ++lf) {
-    const uint64_t feature = partitioner_->GlobalIndex(group, lf);
-    for (int j = 0; j < wpf; ++j) {
-      state->weights[lf * wpf + j] =
-          model_->InitWeight(feature, j, config_.seed);
-    }
-  }
+  state->weights =
+      InitialWeights(*model_, *partitioner_, group, config_.seed);
   state->optimizer = MakeOptimizer(config_.optimizer, config_.learning_rate);
   state->opt_state.assign(
       state->weights.size() * state->optimizer->state_per_slot(), 0.0);
@@ -44,6 +37,7 @@ void ColumnSgdEngine::InitGroupModel(int group, GroupState* state) {
 }
 
 Status ColumnSgdEngine::Setup(const Dataset& dataset) {
+  COLSGD_RETURN_NOT_OK(model_->CheckLabels(dataset.labels));
   if (config_.ssp.enabled) {
     if (options_.backup != 0) {
       return Status::InvalidArgument(

@@ -23,6 +23,7 @@ Status MllibStarEngine::Setup(const Dataset& dataset) {
         model_->name() + " is only implemented for the column framework; "
         "use the columnsgd engine");
   }
+  COLSGD_RETURN_NOT_OK(model_->CheckLabels(dataset.labels));
   num_features_ = dataset.num_features;
   const int wpf = model_->weights_per_feature();
   const int K = runtime_->num_workers();
@@ -50,13 +51,7 @@ Status MllibStarEngine::Setup(const Dataset& dataset) {
     return Status::OutOfMemory("MLlib* replica does not fit on a worker");
   }
 
-  std::vector<double> init(slots, 0.0);
-  for (uint64_t f = 0; f < num_features_; ++f) {
-    for (int j = 0; j < wpf; ++j) {
-      init[f * wpf + j] = model_->InitWeight(f, j, config_.seed);
-    }
-  }
-  replicas_.assign(K, init);
+  replicas_.assign(K, InitialWeights(*model_, num_features_, config_.seed));
   optimizers_.clear();
   opt_states_.clear();
   for (int k = 0; k < K; ++k) {

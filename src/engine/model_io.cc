@@ -58,16 +58,20 @@ Result<SavedModel> ParseModel(const std::vector<uint8_t>& bytes) {
   COLSGD_ASSIGN_OR_RETURN(model.weights, reader.GetDoubleVector());
   COLSGD_ASSIGN_OR_RETURN(model.shared, reader.GetDoubleVector());
 
-  auto spec = MakeModel(model.model_name);
+  Result<std::unique_ptr<ModelSpec>> spec = CreateModel(model.model_name);
+  if (!spec.ok()) {
+    return Status::SerializationError("model image: " +
+                                      spec.status().message());
+  }
   const uint64_t expected_weights =
-      model.num_features * spec->weights_per_feature();
+      model.num_features * (*spec)->weights_per_feature();
   if (model.weights.size() != expected_weights) {
     return Status::SerializationError(
         "model weight count " + std::to_string(model.weights.size()) +
         " does not match " + model.model_name + " over " +
         std::to_string(model.num_features) + " features");
   }
-  if (model.shared.size() != spec->num_shared_params()) {
+  if (model.shared.size() != (*spec)->num_shared_params()) {
     return Status::SerializationError("model shared-parameter count "
                                       "mismatch");
   }

@@ -32,6 +32,7 @@ Status PsEngine::Setup(const Dataset& dataset) {
         model_->name() + " is only implemented for the column framework; "
         "use the columnsgd engine");
   }
+  COLSGD_RETURN_NOT_OK(model_->CheckLabels(dataset.labels));
   if (config_.ssp.enabled) {
     if (ElasticRequested()) {
       return Status::InvalidArgument(
@@ -84,12 +85,7 @@ Status PsEngine::Setup(const Dataset& dataset) {
   }
 
   const uint64_t slots = num_features_ * wpf;
-  weights_.assign(slots, 0.0);
-  for (uint64_t f = 0; f < num_features_; ++f) {
-    for (int j = 0; j < wpf; ++j) {
-      weights_[f * wpf + j] = model_->InitWeight(f, j, config_.seed);
-    }
-  }
+  weights_ = InitialWeights(*model_, num_features_, config_.seed);
   optimizer_ = MakeOptimizer(config_.optimizer, config_.learning_rate);
   opt_state_.assign(slots * optimizer_->state_per_slot(), 0.0);
   grad_ = std::make_unique<GradAccumulator>(slots);

@@ -1,16 +1,18 @@
-// A small persistent thread pool for the threaded kernel mode.
+// A small persistent thread pool for the threaded kernel mode and for model
+// initialisation.
 //
 // The pool exists for WALL-CLOCK execution only: simulated time is always
 // charged from counted work (simnet/compute_model.h), so the pool never
-// touches a simulated clock. Kernels use ParallelFor over disjoint index
-// ranges — each worker writes its own output slots, so the threaded mode is
-// race-free by construction and bitwise-identical to the scalar schedule
+// touches a simulated clock. Callers use ParallelFor over disjoint index
+// ranges — each worker writes its own output slots, so parallel execution is
+// race-free by construction and bitwise-identical to the serial schedule
 // (DESIGN.md §18: reductions never cross a range boundary).
 #ifndef COLSGD_LINALG_KERNELS_THREAD_POOL_H_
 #define COLSGD_LINALG_KERNELS_THREAD_POOL_H_
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -35,6 +37,11 @@ class ThreadPool {
   /// `grain` indices, distributed across the pool plus the calling thread.
   /// Blocks until every chunk has finished. `body` must only write state
   /// owned by its own range. n == 0 is a no-op; grain < 1 is clamped to 1.
+  ///
+  /// Safe to call from several threads at once: the pool runs one job at a
+  /// time and later callers wait for it. A call made from inside a body, or
+  /// from any pool's worker thread, runs inline as `body(0, n)` — waiting
+  /// for the pool there could never finish.
   void ParallelFor(size_t n, size_t grain,
                    const std::function<void(size_t, size_t)>& body);
 
@@ -45,10 +52,11 @@ class ThreadPool {
   /// Claims and runs chunks of the current job until none remain.
   void RunChunks();
 
+  std::mutex caller_mu_;  // held by the calling thread for a whole job
   std::mutex mu_;
   std::condition_variable work_cv_;   // signals workers: a job is ready
   std::condition_variable done_cv_;   // signals the caller: job finished
-  // Current job (guarded by mu_; chunk claim is via next_chunk_ under mu_).
+  // Current job (guarded by mu_; chunk claim is via next_index_ under mu_).
   const std::function<void(size_t, size_t)>* body_ = nullptr;
   size_t job_n_ = 0;
   size_t job_grain_ = 1;
@@ -59,13 +67,14 @@ class ThreadPool {
   std::vector<std::thread> threads_;
 };
 
-/// \brief The process-wide pool used by the threaded kernel mode, created on
+/// \brief The process-wide pool used by the threaded kernel mode and by
+/// model initialisation (InitialWeights, model/model_spec.h), created on
 /// first use with the thread count from SetKernelThreads (default:
 /// hardware_concurrency - 1, at least 1).
 ThreadPool& SharedPool();
 
 /// \brief Overrides the shared pool's thread count. Must be called before
-/// the first threaded kernel executes; later calls are ignored (the pool is
+/// the first use of the shared pool; later calls are ignored (the pool is
 /// already running). Returns the count the pool will use.
 int SetKernelThreads(int num_threads);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "linalg/kernels/kernels.h"
 
@@ -20,6 +21,21 @@ void MultinomialLogisticRegression::Softmax(const double* scores,
     sum += (*probs)[c];
   }
   for (int c = 0; c < num_classes_; ++c) (*probs)[c] /= sum;
+}
+
+Status MultinomialLogisticRegression::CheckLabels(
+    const std::vector<float>& labels) const {
+  for (size_t i = 0; i < labels.size(); ++i) {
+    const float label = labels[i];
+    if (!(label >= 0.0f && label < static_cast<float>(num_classes_) &&
+          label == std::floor(label))) {
+      return Status::InvalidArgument(
+          "row " + std::to_string(i) + ": label " + std::to_string(label) +
+          " is not a class id in [0, " + std::to_string(num_classes_) +
+          ") for " + name());
+    }
+  }
+  return Status::OK();
 }
 
 void MultinomialLogisticRegression::ComputePartialStats(
@@ -45,9 +61,7 @@ void MultinomialLogisticRegression::AccumulateGradFromStats(
   uint64_t work = 0;
   for (size_t i = 0; i < batch.size(); ++i) {
     Softmax(agg_stats.data() + i * C, &probs);
-    const int target = static_cast<int>(batch.labels[i]);
-    COLSGD_CHECK_GE(target, 0);
-    COLSGD_CHECK_LT(target, C);
+    const int target = Target(batch.labels[i]);
     // Equation 8: grad_{w_c} = (softmax_c - t_c) * x.
     probs[target] -= 1.0;
     kernels::ScatterRowMulti(batch.rows[i], probs.data(), C, grad);
@@ -65,7 +79,7 @@ double MultinomialLogisticRegression::BatchLossFromStats(
   double loss = 0.0;
   for (size_t i = 0; i < labels.size(); ++i) {
     Softmax(agg_stats.data() + i * C, &probs);
-    const int target = static_cast<int>(labels[i]);
+    const int target = Target(labels[i]);
     loss += -std::log(std::max(probs[target], 1e-300));
   }
   return loss;
@@ -79,8 +93,7 @@ void MultinomialLogisticRegression::AccumulateRowGradient(
   kernels::SpmvRowsMulti(&row, 1, C, model.data(), scores.data());
   std::vector<double> probs;
   Softmax(scores.data(), &probs);
-  const int target = static_cast<int>(label);
-  probs[target] -= 1.0;
+  probs[Target(label)] -= 1.0;
   kernels::ScatterRowMulti(row, probs.data(), C, grad);
   if (flops != nullptr) flops->Add(4 * row.nnz * C);
 }
@@ -95,7 +108,7 @@ double MultinomialLogisticRegression::RowLoss(const SparseVectorView& row,
   std::vector<double> probs;
   Softmax(scores.data(), &probs);
   if (flops != nullptr) flops->Add(2 * row.nnz * C);
-  return -std::log(std::max(probs[static_cast<int>(label)], 1e-300));
+  return -std::log(std::max(probs[Target(label)], 1e-300));
 }
 
 void MultinomialLogisticRegression::RowBatchForwardGrad(
@@ -111,7 +124,7 @@ void MultinomialLogisticRegression::RowBatchForwardGrad(
   uint64_t work = 0;
   for (size_t i = 0; i < n; ++i) {
     Softmax(scores.data() + i * C, &probs);
-    const int target = static_cast<int>(batch.labels[i]);
+    const int target = Target(batch.labels[i]);
     if (loss_sum != nullptr) {
       *loss_sum += -std::log(std::max(probs[target], 1e-300));
       work += 2 * batch.rows[i].nnz * C;

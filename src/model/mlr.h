@@ -24,6 +24,9 @@ class MultinomialLogisticRegression : public ModelSpec {
   int stats_per_point() const override { return num_classes_; }
   int num_classes() const { return num_classes_; }
 
+  /// \brief Every label must be an integer class id in [0, C).
+  Status CheckLabels(const std::vector<float>& labels) const override;
+
   void ComputePartialStats(const BatchView& batch,
                            const std::vector<double>& local_model,
                            std::vector<double>* stats,
@@ -66,6 +69,13 @@ class MultinomialLogisticRegression : public ModelSpec {
  private:
   /// \brief Softmax probabilities from the C scores of one point.
   void Softmax(const double* scores, std::vector<double>* probs) const;
+  /// \brief The class id of a label that passed CheckLabels.
+  int Target(float label) const {
+    const int target = static_cast<int>(label);
+    COLSGD_CHECK_GE(target, 0);
+    COLSGD_CHECK_LT(target, num_classes_);
+    return target;
+  }
 
   int num_classes_;
 };

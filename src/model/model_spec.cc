@@ -1,0 +1,48 @@
+#include "model/model_spec.h"
+
+#include "linalg/kernels/thread_pool.h"
+#include "storage/partitioner.h"
+
+namespace colsgd {
+
+namespace {
+
+/// Fills `dim` features' slots; local feature lf holds feature
+/// global_index(lf). Chunks write disjoint slot ranges.
+template <typename GlobalIndexFn>
+std::vector<double> FillInitialWeights(const ModelSpec& model, uint64_t dim,
+                                       uint64_t seed,
+                                       GlobalIndexFn global_index) {
+  const size_t wpf = static_cast<size_t>(model.weights_per_feature());
+  std::vector<double> weights(dim * wpf);
+  double* out = weights.data();
+  kernels::SharedPool().ParallelFor(
+      dim, kInitChunkFeatures, [&](size_t begin, size_t end) {
+        for (size_t lf = begin; lf < end; ++lf) {
+          const uint64_t feature = global_index(lf);
+          for (size_t j = 0; j < wpf; ++j) {
+            out[lf * wpf + j] =
+                model.InitWeight(feature, static_cast<int>(j), seed);
+          }
+        }
+      });
+  return weights;
+}
+
+}  // namespace
+
+std::vector<double> InitialWeights(const ModelSpec& model,
+                                   uint64_t num_features, uint64_t seed) {
+  return FillInitialWeights(model, num_features, seed,
+                            [](uint64_t f) { return f; });
+}
+
+std::vector<double> InitialWeights(const ModelSpec& model,
+                                   const ColumnPartitioner& partitioner,
+                                   int part, uint64_t seed) {
+  return FillInitialWeights(
+      model, partitioner.LocalDim(part), seed,
+      [&](uint64_t lf) { return partitioner.GlobalIndex(part, lf); });
+}
+
+}  // namespace colsgd

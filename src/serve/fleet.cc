@@ -134,7 +134,8 @@ Status ServeFleet::Install(const SavedModel& model,
   // Validate once at the router before any bytes move (the same checks each
   // group's Install would make; failing late would leave a half-installed
   // fleet).
-  std::unique_ptr<ModelSpec> spec = MakeModel(model.model_name);
+  COLSGD_ASSIGN_OR_RETURN(std::unique_ptr<ModelSpec> spec,
+                          CreateModel(model.model_name));
   if (!spec->SupportsStatScore()) {
     return Status::InvalidArgument(
         model.model_name +

@@ -50,7 +50,8 @@ Status ShardGroup::Install(const SavedModel& model,
     return Status::FailedPrecondition(
         "a model is already installed; use ScheduleSwap");
   }
-  std::unique_ptr<ModelSpec> spec = MakeModel(model.model_name);
+  COLSGD_ASSIGN_OR_RETURN(std::unique_ptr<ModelSpec> spec,
+                          CreateModel(model.model_name));
   if (!spec->SupportsStatScore()) {
     return Status::InvalidArgument(
         model.model_name +

@@ -122,12 +122,14 @@ Result<DatasetScores> ScoreDatasetSharded(const SavedModel& model,
   if (num_shards < 1) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
-  std::unique_ptr<ModelSpec> spec = MakeModel(model.model_name);
+  COLSGD_ASSIGN_OR_RETURN(std::unique_ptr<ModelSpec> spec,
+                          CreateModel(model.model_name));
   if (!spec->SupportsStatScore()) {
     return Status::InvalidArgument(
         model.model_name +
         " cannot score from statistics alone; it is not servable");
   }
+  COLSGD_RETURN_NOT_OK(spec->CheckLabels(dataset.labels));
   if (dataset.num_features > model.num_features) {
     return Status::InvalidArgument(
         "dataset has features beyond the model's dimension");

@@ -101,6 +101,24 @@ TEST(FleetConfigTest, ValidatesShape) {
   EXPECT_FALSE(FleetConfig::Validate(config).ok());
 }
 
+TEST(FleetTest, InstallRejectsUnknownModelName) {
+  const Dataset queries = FleetQueries();
+  SavedModel model = Planted("lr", queries.num_features, 5);
+  model.model_name = "bogus";
+  for (int replicas : {1, 2}) {
+    FleetConfig config;
+    config.replicas = replicas;
+    config.serve.num_shards = 4;
+    ServeFleet fleet(ClusterSpec::Cluster1(), config, &queries);
+    const Status st = fleet.Install(model);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << "R=" << replicas << ": " << st.ToString();
+  }
+  Result<DatasetScores> scored = ScoreDatasetSharded(
+      model, "round_robin", 4, queries, queries.num_rows());
+  EXPECT_EQ(scored.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(FleetTest, DoubleRunsAreBitIdenticalAcrossReplicaCounts) {
   const Dataset queries = FleetQueries();
   const SavedModel model = Planted("lr", queries.num_features, 5);

@@ -4,12 +4,14 @@
 //    kernels (including empty rows, single-nnz rows, and dense columns) and
 //    on end-to-end trained weights for every engine x model pair, under SSP
 //    slack, and through the sharded serving path.
-//  * the thread pool covers every index exactly once.
+//  * the thread pool covers every index exactly once, also with concurrent
+//    and nested callers.
 //  * calibration profiles round-trip through JSON and reject garbage.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -284,6 +286,58 @@ TEST(ThreadPoolTest, ReusableAcrossJobs) {
     });
     ASSERT_EQ(total.load(), static_cast<size_t>(100 + job));
   }
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersEachRunEveryIndexOnce) {
+  // Two threads share one pool; every job of each must still cover each of
+  // its indices exactly once (the pool holds one job at a time, so the
+  // second caller waits instead of overwriting the first one's job).
+  kernels::ThreadPool pool(3);
+  constexpr size_t kN = 1000;
+  constexpr int kJobs = 200;
+  std::atomic<int> bad_jobs{0};
+  auto caller = [&] {
+    std::vector<std::atomic<int>> hits(kN);
+    for (int job = 0; job < kJobs; ++job) {
+      for (auto& h : hits) h.store(0);
+      pool.ParallelFor(kN, 16, [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+      });
+      for (const auto& h : hits) {
+        if (h.load() != 1) {
+          bad_jobs.fetch_add(1);
+          break;
+        }
+      }
+    }
+  };
+  std::thread first(caller);
+  std::thread second(caller);
+  first.join();
+  second.join();
+  EXPECT_EQ(bad_jobs.load(), 0);
+}
+
+TEST(ThreadPoolTest, NestedCallRunsInlineAndCoversEveryIndexOnce) {
+  kernels::ThreadPool pool(3);
+  constexpr size_t kOuter = 64;
+  constexpr size_t kInner = 100;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  for (auto& h : hits) h.store(0);
+  pool.ParallelFor(kOuter, 4, [&](size_t begin, size_t end) {
+    for (size_t o = begin; o < end; ++o) {
+      pool.ParallelFor(kInner, 8, [&](size_t b, size_t e) {
+        for (size_t i = b; i < e; ++i) hits[o * kInner + i].fetch_add(1);
+      });
+    }
+  });
+  for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  // The pool is still usable from the top level afterwards.
+  std::atomic<size_t> total{0};
+  pool.ParallelFor(500, 8, [&](size_t begin, size_t end) {
+    total.fetch_add(end - begin);
+  });
+  EXPECT_EQ(total.load(), 500u);
 }
 
 // ---- End-to-end: trained weights across modes -----------------------------

@@ -104,6 +104,20 @@ TEST(ModelIoTest, SerializeParseRoundTripsInMemory) {
   EXPECT_EQ(SerializeModel(model), bytes);
 }
 
+TEST(ModelIoTest, RejectsUnknownModelName) {
+  // A well-formed, CRC-valid image whose model name no factory knows is a
+  // damaged file, not a reason to abort.
+  SavedModel model;
+  model.model_name = "bogus";
+  model.num_features = 2;
+  model.weights = {1.0, 2.0};
+  Result<SavedModel> parsed = ParseModel(SerializeModel(model));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kSerializationError);
+  EXPECT_NE(parsed.status().message().find("bogus"), std::string::npos)
+      << parsed.status().ToString();
+}
+
 TEST(ModelIoTest, ChecksumCatchesEverySingleBitFlip) {
   SavedModel model;
   model.model_name = "lr";

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
 
 #include "common/rng.h"
 #include "model/factory.h"
@@ -342,6 +344,71 @@ TEST(FactoryTest, CreateModelRejectsBadNamesWithoutAborting) {
     EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument) << bad;
   }
 }
+
+// ---- InitialWeights: the pool fill equals the serial loop bitwise ---------
+
+/// The serial loop InitialWeights replaced: local feature lf holds feature
+/// global_index(lf).
+template <typename GlobalIndexFn>
+std::vector<double> SerialInitialWeights(const ModelSpec& model, uint64_t dim,
+                                         uint64_t seed,
+                                         GlobalIndexFn global_index) {
+  const int wpf = model.weights_per_feature();
+  std::vector<double> weights(dim * wpf, 0.0);
+  for (uint64_t lf = 0; lf < dim; ++lf) {
+    for (int j = 0; j < wpf; ++j) {
+      weights[lf * wpf + j] = model.InitWeight(global_index(lf), j, seed);
+    }
+  }
+  return weights;
+}
+
+void ExpectBytesEqual(const std::vector<double>& actual,
+                      const std::vector<double>& expected,
+                      const std::string& what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  if (actual.empty()) return;  // memcmp needs non-null pointers
+  EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                        actual.size() * sizeof(double)),
+            0)
+      << what;
+}
+
+class InitialWeightsTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(InitialWeightsTest, PoolFillMatchesSerialLoopBitwise) {
+  std::unique_ptr<ModelSpec> model = MakeModel(GetParam());
+  constexpr uint64_t kChunk = kInitChunkFeatures;
+  constexpr uint64_t seed = 31;
+  for (uint64_t m :
+       {uint64_t{0}, uint64_t{1}, kChunk - 1, kChunk, kChunk + 1,
+        3 * kChunk + 7}) {
+    ExpectBytesEqual(
+        InitialWeights(*model, m, seed),
+        SerialInitialWeights(*model, m, seed, [](uint64_t f) { return f; }),
+        "global m=" + std::to_string(m));
+    // Three partitions of 3m features: each local layout is about m
+    // features long, so it meets the same chunk boundaries as the global one.
+    for (const char* name : {"round_robin", "range", "block_cyclic_4"}) {
+      std::unique_ptr<ColumnPartitioner> partitioner =
+          MakePartitioner(name, 3 * m, 3);
+      for (int part = 0; part < 3; ++part) {
+        ExpectBytesEqual(
+            InitialWeights(*model, *partitioner, part, seed),
+            SerialInitialWeights(*model, partitioner->LocalDim(part), seed,
+                                 [&](uint64_t lf) {
+                                   return partitioner->GlobalIndex(part, lf);
+                                 }),
+            std::string(name) + " m=" + std::to_string(m) + " part " +
+                std::to_string(part));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModels, InitialWeightsTest,
+                         ::testing::Values("fm10", "mlp16", "mlr4", "lr"),
+                         [](const auto& info) { return info.param; });
 
 TEST(GradAccumulatorTest, TracksTouchedSlotsAndResets) {
   GradAccumulator grad(10);

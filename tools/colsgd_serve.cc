@@ -279,6 +279,11 @@ int RunDriver(int argc, char** argv) {
   flags.AddString("dag_out", &dag_out,
                   "write the causal critical-path DAG here");
   COLSGD_CHECK_OK(flags.Parse(argc, argv));
+  if (Status known = CreateModel(model).status(); !known.ok()) {
+    std::fprintf(stderr, "%s\n", known.ToString().c_str());
+    flags.PrintUsage(argv[0]);
+    return 2;
+  }
   serve.num_shards = static_cast<int>(shards);
   workload.seed = static_cast<uint64_t>(workload_seed);
 
@@ -371,7 +376,10 @@ int RunDriver(int argc, char** argv) {
                 stream.size());
   } else if (!model_file.empty()) {
     Result<SavedModel> loaded = ReadModelFile(model_file);
-    COLSGD_CHECK_OK(loaded.status());
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
+      return 1;
+    }
     stream.push_back(Generation{0.0, loaded.ValueOrDie(), 0});
     // Serve the image's own dimension.
     query_spec.num_features = stream[0].model.num_features;

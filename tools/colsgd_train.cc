@@ -23,6 +23,7 @@
 #include "engine/trainer.h"
 #include "linalg/kernels/calibrate.h"
 #include "linalg/kernels/kernels.h"
+#include "model/factory.h"
 #include "obs/bench/bench_result.h"
 #include "obs/critpath/dag_json.h"
 #include "obs/export.h"
@@ -266,6 +267,7 @@ int Run(int argc, char** argv) {
                   "write the trained model to this file (colsgd_predict "
                   "reads it)");
   Status st = flags.Parse(argc, argv);
+  if (st.ok()) st = CreateModel(model).status();
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     flags.PrintUsage(argv[0]);
