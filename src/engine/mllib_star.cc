@@ -149,6 +149,7 @@ Status MllibStarEngine::DoRunIteration(int64_t iteration) {
     Rng rng = WorkerIterationRng(config_.seed, iteration, w);
     FlopCounter flops;
     const size_t local_batch = WorkerBatchSize(w);
+    std::vector<double> row_losses(local_batch);
     for (int step = 0; step < options_.local_steps; ++step) {
       BatchView batch;
       batch.rows.reserve(local_batch);
@@ -161,9 +162,15 @@ Status MllibStarEngine::DoRunIteration(int64_t iteration) {
       }
       // Fused forward + gradient (kernel layer); the loss pass runs only on
       // the first local step, exactly as the unfused loop did.
-      model_->RowBatchForwardGrad(batch, replicas_[w], grad_.get(),
-                                  step == 0 ? &loss_sum : nullptr, &flops);
-      if (step == 0) loss_count += local_batch;
+      terms_.Clear();
+      model_->RowBatchForwardGrad(batch, replicas_[w], &terms_,
+                                  step == 0 ? row_losses.data() : nullptr,
+                                  &flops);
+      for (const GradTerm& term : terms_) grad_->Add(term.slot, term.value);
+      if (step == 0) {
+        for (double loss : row_losses) loss_sum += loss;
+        loss_count += local_batch;
+      }
       // Aggregated over every worker's local steps — an engine-dependent
       // notion of "the iteration's gradient", noted in DESIGN.md §9.
       ApplySparseUpdate(grad_.get(), local_batch, config_.reg,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_set>
 
 #include "common/check.h"
 #include "engine/row_sampling.h"
@@ -12,7 +11,6 @@ namespace colsgd {
 namespace {
 constexpr double kDefaultSchedOverhead = 0.002;  // no Spark driver in the loop
 constexpr uint64_t kRequestHeaderBytes = 16;
-constexpr uint64_t kSampleFlops = 32;
 }  // namespace
 
 PsEngine::PsEngine(const ClusterSpec& cluster_spec, const TrainConfig& config,
@@ -89,6 +87,7 @@ Status PsEngine::Setup(const Dataset& dataset) {
   optimizer_ = MakeOptimizer(config_.optimizer, config_.learning_rate);
   opt_state_.assign(slots * optimizer_->state_per_slot(), 0.0);
   grad_ = std::make_unique<GradAccumulator>(slots);
+  steps_.assign(partitions_.size(), RowWorkerStep{});
 
   if (config_.ssp.enabled) {
     const size_t ring = static_cast<size_t>(config_.ssp.slack) + 2;
@@ -163,6 +162,13 @@ size_t PsEngine::WorkerBatchSize(int worker) const {
   const size_t K = partitions_.size();
   return config_.batch_size / K +
          (static_cast<size_t>(worker) < config_.batch_size % K ? 1 : 0);
+}
+
+std::vector<uint64_t> PsEngine::KeysPerServer(
+    const RowWorkerStep& step) const {
+  std::vector<uint64_t> keys(partitions_.size(), 0);
+  for (uint32_t f : step.features) keys[shard_map_->Owner(f)]++;
+  return keys;
 }
 
 int PsEngine::PartitionOwner(int p) const {
@@ -529,33 +535,19 @@ Status PsEngine::DoRunIterationElastic(int64_t iteration) {
     }
   };
 
-  // Phase 0: partition p's slice of the batch is drawn with p's RNG no
-  // matter which rank computes it.
-  std::vector<std::vector<LocalRowSample>> samples(G);
+  // Worker step, on the host pool: partition p's slice of the batch is
+  // drawn with p's RNG no matter which rank computes it, and its gradient is
+  // taken against the pulled (current) model. The phases below only charge
+  // it, in partition order.
   std::vector<std::vector<uint64_t>> keys_per_shard(G);
-  std::vector<FlopCounter> part_flops(G);
-  for (int p = 0; p < G; ++p) {
-    Rng rng = WorkerIterationRng(config_.seed, iteration, p);
-    const size_t local_batch = WorkerBatchSize(p);
-    samples[p].reserve(local_batch);
-    keys_per_shard[p].assign(G, 0);
-    std::unordered_set<uint32_t> batch_features;
-    for (size_t i = 0; i < local_batch; ++i) {
-      samples[p].push_back(
-          DrawLocalRow(partitions_[p], partition_rows_[p], &rng));
-      part_flops[p].Add(kSampleFlops);
-      if (options_.sparse_pull) {
-        for (size_t j = 0; j < samples[p].back().row.nnz; ++j) {
-          batch_features.insert(samples[p].back().row.indices[j]);
-        }
-      }
-    }
-    if (options_.sparse_pull) {
-      for (uint32_t f : batch_features) {
-        keys_per_shard[p][shard_map_->Owner(f)]++;
-      }
-    }
-  }
+  ForEachWorker(G, [&](int p) {
+    RowWorkerStep& step = steps_[p];
+    step.Draw(partitions_[p], partition_rows_[p], WorkerBatchSize(p),
+              WorkerIterationRng(config_.seed, iteration, p),
+              options_.sparse_pull);
+    keys_per_shard[p] = KeysPerServer(step);
+    step.ForwardGrad(*model_, weights_, G);
+  });
 
   // Phase 1: pull requests from each partition's owner to each shard's
   // owner; co-located pairs are loopback.
@@ -599,24 +591,15 @@ Status PsEngine::DoRunIterationElastic(int64_t iteration) {
     }
   }
 
-  // Phase 3: gradients, accumulated in partition order (fixed-K float sum
+  // Phase 3: gradients, summed in partition order (fixed-K float sum
   // order); per-rank totals drive the clock and straggler charges.
   double loss_sum = 0.0;
   size_t batch_total = 0;
   std::vector<uint64_t> rank_flops(runtime_->total_workers(), 0);
   for (int p = 0; p < G; ++p) {
-    BatchView batch;
-    batch.rows.reserve(samples[p].size());
-    batch.labels.reserve(samples[p].size());
-    for (const LocalRowSample& sample : samples[p]) {
-      batch.rows.push_back(sample.row);
-      batch.labels.push_back(sample.label);
-    }
-    // Fused forward + gradient (kernel layer), same per-row order.
-    model_->RowBatchForwardGrad(batch, weights_, grad_.get(), &loss_sum,
-                                &part_flops[p]);
-    batch_total += samples[p].size();
-    rank_flops[PartitionOwner(p)] += part_flops[p].flops();
+    for (double loss : steps_[p].row_losses) loss_sum += loss;
+    batch_total += steps_[p].batch.size();
+    rank_flops[PartitionOwner(p)] += steps_[p].flops.flops();
   }
   for (int rank : active) {
     const NodeId node = runtime_->worker_node(rank);
@@ -662,8 +645,9 @@ Status PsEngine::DoRunIterationElastic(int64_t iteration) {
   // The aggregated update lands on every holder of each shard (lock-step
   // replicas), then the BSP barrier closes the round.
   FlopCounter update_flops;
-  ApplySparseUpdate(grad_.get(), batch_total, config_.reg, optimizer_.get(),
-                    &weights_, &opt_state_, &update_flops, grad_sq_accum());
+  update_.Apply(steps_, grad_.get(), batch_total, config_.reg,
+                optimizer_.get(), &weights_, &opt_state_, &update_flops,
+                grad_sq_accum());
   for (int s = 0; s < G; ++s) {
     for (int holder : block_store_.Holders(s)) {
       runtime_->ChargeCompute(runtime_->extra_node(holder),
@@ -699,33 +683,19 @@ Status PsEngine::DoRunIteration(int64_t iteration) {
     }
   };
 
-  // Phase 0: every worker samples its slice of the batch; with sparse pull
-  // the key set depends on the batch content.
-  std::vector<std::vector<LocalRowSample>> samples(K);
+  // Worker step, on the host pool: every worker samples its slice of the
+  // batch (with sparse pull the key set depends on the batch content) and
+  // computes its gradient against the pulled (current) model, which nothing
+  // changes before the apply. Phases 1-4 only charge it, in worker order.
   std::vector<std::vector<uint64_t>> keys_per_server(K);
-  std::vector<FlopCounter> worker_flops(K);
-  for (int w = 0; w < K; ++w) {
-    Rng rng = WorkerIterationRng(config_.seed, iteration, w);
-    const size_t local_batch = WorkerBatchSize(w);
-    samples[w].reserve(local_batch);
-    keys_per_server[w].assign(K, 0);
-    std::unordered_set<uint32_t> batch_features;
-    for (size_t i = 0; i < local_batch; ++i) {
-      samples[w].push_back(
-          DrawLocalRow(partitions_[w], partition_rows_[w], &rng));
-      worker_flops[w].Add(kSampleFlops);
-      if (options_.sparse_pull) {
-        for (size_t j = 0; j < samples[w].back().row.nnz; ++j) {
-          batch_features.insert(samples[w].back().row.indices[j]);
-        }
-      }
-    }
-    if (options_.sparse_pull) {
-      for (uint32_t f : batch_features) {
-        keys_per_server[w][shard_map_->Owner(f)]++;
-      }
-    }
-  }
+  ForEachWorker(K, [&](int w) {
+    RowWorkerStep& step = steps_[w];
+    step.Draw(partitions_[w], partition_rows_[w], WorkerBatchSize(w),
+              WorkerIterationRng(config_.seed, iteration, w),
+              options_.sparse_pull);
+    keys_per_server[w] = KeysPerServer(step);
+    step.ForwardGrad(*model_, weights_, K);
+  });
 
   // Phase 1: all pull requests go out (asynchronously, pipelining on each
   // worker's outbound NIC).
@@ -770,26 +740,17 @@ Status PsEngine::DoRunIteration(int64_t iteration) {
   size_t batch_total = 0;
   for (int w = 0; w < K; ++w) {
     const NodeId node = runtime_->worker_node(w);
-    BatchView batch;
-    batch.rows.reserve(samples[w].size());
-    batch.labels.reserve(samples[w].size());
-    for (const LocalRowSample& sample : samples[w]) {
-      batch.rows.push_back(sample.row);
-      batch.labels.push_back(sample.label);
-    }
-    // Fused forward + gradient (kernel layer), same per-row order.
-    model_->RowBatchForwardGrad(batch, weights_, grad_.get(), &loss_sum,
-                                &worker_flops[w]);
-    batch_total += samples[w].size();
-    runtime_->ChargeCompute(node, worker_flops[w].flops());
+    const RowWorkerStep& step = steps_[w];
+    for (double loss : step.row_losses) loss_sum += loss;
+    batch_total += step.batch.size();
+    runtime_->ChargeCompute(node, step.flops.flops());
     // Dense weight/gradient buffer sweeps on the worker (the kvstore
     // arrays): this is the O(m) per-iteration term of the PS baselines.
     runtime_->ChargeMemTouch(node, 2 * model_bytes);
     const double level = StragglerLevelFor(iteration, w);
     if (level > 0.0) {
       runtime_->AdvanceClock(
-          node,
-          level * cluster_spec_.compute.SecondsFor(worker_flops[w].flops()));
+          node, level * cluster_spec_.compute.SecondsFor(step.flops.flops()));
     }
   }
   last_batch_loss_ = loss_sum / static_cast<double>(batch_total);
@@ -818,10 +779,12 @@ Status PsEngine::DoRunIteration(int64_t iteration) {
     }
   }
 
-  // The aggregated update lands on the server shards (BSP round).
+  // The aggregated update lands on the server shards (BSP round); on the
+  // host, each shard scatters and applies its own slots on the pool.
   FlopCounter update_flops;
-  ApplySparseUpdate(grad_.get(), batch_total, config_.reg, optimizer_.get(),
-                    &weights_, &opt_state_, &update_flops, grad_sq_accum());
+  update_.Apply(steps_, grad_.get(), batch_total, config_.reg,
+                optimizer_.get(), &weights_, &opt_state_, &update_flops,
+                grad_sq_accum());
   for (int s = 0; s < K; ++s) {
     runtime_->ChargeCompute(runtime_->extra_node(s),
                             update_flops.flops() / K);
@@ -881,27 +844,11 @@ Status PsEngine::DoRunIterationSsp(int64_t iteration) {
     COLSGD_CHECK(ssp_clocks_.MayStart(w, iteration, slack));
 
     // Phase 0: the local batch slice (pure function of seed + iteration).
-    Rng rng = WorkerIterationRng(config_.seed, iteration, w);
-    const size_t local_batch = WorkerBatchSize(w);
-    std::vector<LocalRowSample> samples;
-    samples.reserve(local_batch);
-    keys_per_server[w].assign(K, 0);
-    FlopCounter flops;
-    std::unordered_set<uint32_t> batch_features;
-    for (size_t i = 0; i < local_batch; ++i) {
-      samples.push_back(DrawLocalRow(partitions_[w], partition_rows_[w], &rng));
-      flops.Add(kSampleFlops);
-      if (options_.sparse_pull) {
-        for (size_t j = 0; j < samples.back().row.nnz; ++j) {
-          batch_features.insert(samples.back().row.indices[j]);
-        }
-      }
-    }
-    if (options_.sparse_pull) {
-      for (uint32_t f : batch_features) {
-        keys_per_server[w][shard_map_->Owner(f)]++;
-      }
-    }
+    RowWorkerStep& step = steps_[w];
+    step.Draw(partitions_[w], partition_rows_[w], WorkerBatchSize(w),
+              WorkerIterationRng(config_.seed, iteration, w),
+              options_.sparse_pull);
+    keys_per_server[w] = KeysPerServer(step);
 
     // Phases 1+2: pulls. The reply may not leave shard s before s has
     // applied the gate version; it serves the newest version applied by its
@@ -1016,31 +963,25 @@ Status PsEngine::DoRunIterationSsp(int64_t iteration) {
         std::max(ssp_.max_staleness_observed, staleness);
     if (staleness > 0) ++ssp_.stale_reads;
 
-    // Phase 3: gradients against the served snapshot, accumulated in worker
-    // order into the shared accumulator (the fixed float-sum order that
-    // makes slack = 0 bitwise BSP).
+    // Phase 3: gradients against the served snapshot, scattered below in
+    // worker order (the fixed float-sum order that makes slack = 0 bitwise
+    // BSP). The forward stays in this serial loop: which version a worker
+    // is served depends on the simulated timeline so far, and the FLOPs it
+    // charges depend on the scores.
     const std::vector<double>& snapshot =
         version == iteration - 1 && version >= 0 ? weights_
                                                  : SspSnapshotOf(version);
     last_compute_start = std::max(last_compute_start, runtime_->clock(node));
-    BatchView batch;
-    batch.rows.reserve(samples.size());
-    batch.labels.reserve(samples.size());
-    for (const LocalRowSample& sample : samples) {
-      batch.rows.push_back(sample.row);
-      batch.labels.push_back(sample.label);
-    }
-    // Fused forward + gradient (kernel layer), same per-row order.
-    model_->RowBatchForwardGrad(batch, snapshot, grad_.get(), &loss_sum,
-                                &flops);
-    batch_total += samples.size();
-    runtime_->ChargeCompute(node, flops.flops());
+    step.ForwardGrad(*model_, snapshot, K);
+    for (double loss : step.row_losses) loss_sum += loss;
+    batch_total += step.batch.size();
+    runtime_->ChargeCompute(node, step.flops.flops());
     runtime_->ChargeMemTouch(node, 2 * model_bytes);
     const double level =
         StragglerLevelFor(iteration, w) + SspJitterLevel(iteration, w);
     if (level > 0.0) {
       runtime_->AdvanceClock(
-          node, level * cluster_spec_.compute.SecondsFor(flops.flops()));
+          node, level * cluster_spec_.compute.SecondsFor(step.flops.flops()));
     }
 
     // Phase 4: pushes (mailbox delivery; shard apply waits below).
@@ -1080,8 +1021,9 @@ Status PsEngine::DoRunIterationSsp(int64_t iteration) {
   // Version `iteration` applies once every push is in: one combined update in
   // the same order and float-sum sequence as BSP, charged on each shard.
   FlopCounter update_flops;
-  ApplySparseUpdate(grad_.get(), batch_total, config_.reg, optimizer_.get(),
-                    &weights_, &opt_state_, &update_flops, grad_sq_accum());
+  update_.Apply(steps_, grad_.get(), batch_total, config_.reg,
+                optimizer_.get(), &weights_, &opt_state_, &update_flops,
+                grad_sq_accum());
   SimTime applied_max = 0.0;
   SimTime push_done = 0.0;
   for (int s = 0; s < K; ++s) {

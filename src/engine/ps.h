@@ -23,6 +23,7 @@
 
 #include "cluster/membership.h"
 #include "engine/api.h"
+#include "engine/row_step.h"
 #include "simnet/ssp_gate.h"
 #include "storage/block_store.h"
 #include "storage/partitioner.h"
@@ -74,6 +75,9 @@ class PsEngine : public Engine {
 
  private:
   size_t WorkerBatchSize(int worker) const;
+  /// \brief Distinct keys of `step`'s batch per server shard (sparse pull;
+  /// empty for dense pulls).
+  std::vector<uint64_t> KeysPerServer(const RowWorkerStep& step) const;
 
   // --- Elastic membership (DESIGN.md §14) -------------------------------
   // One logical index p <- [0, K0) names both data partition p and server
@@ -131,6 +135,10 @@ class PsEngine : public Engine {
   std::vector<double> opt_state_;
   std::unique_ptr<Optimizer> optimizer_;
   std::unique_ptr<GradAccumulator> grad_;
+  // One per data partition (= worker under fixed membership), and the
+  // scatter/apply scratch over the server shards (DESIGN.md §18).
+  std::vector<RowWorkerStep> steps_;
+  ShardedUpdate update_;
   std::unique_ptr<ColumnPartitioner> shard_map_;  // feature -> server
   std::vector<std::vector<RowBlock>> partitions_;
   std::vector<uint64_t> partition_rows_;

@@ -1,0 +1,131 @@
+#include "engine/row_step.h"
+
+#include <algorithm>
+#include <limits>
+
+#include "engine/row_sampling.h"
+#include "linalg/kernels/thread_pool.h"
+
+namespace colsgd {
+
+void RowWorkerStep::Draw(const std::vector<RowBlock>& blocks,
+                         uint64_t total_rows, size_t local_batch, Rng rng,
+                         bool list_features) {
+  batch.rows.clear();
+  batch.labels.clear();
+  features.clear();
+  flops.Reset();
+  for (size_t i = 0; i < local_batch; ++i) {
+    const LocalRowSample sample = DrawLocalRow(blocks, total_rows, &rng);
+    batch.rows.push_back(sample.row);
+    batch.labels.push_back(sample.label);
+    if (list_features) {
+      features.insert(features.end(), sample.row.indices,
+                      sample.row.indices + sample.row.nnz);
+    }
+  }
+  flops.Add(kSampleFlops * local_batch);
+  if (list_features) {
+    std::sort(features.begin(), features.end());
+    features.erase(std::unique(features.begin(), features.end()),
+                   features.end());
+  }
+}
+
+void RowWorkerStep::ForwardGrad(const ModelSpec& spec,
+                                const std::vector<double>& model,
+                                int num_shards) {
+  terms.Clear();
+  row_losses.assign(batch.size(), 0.0);
+  spec.RowBatchForwardGrad(batch, model, &terms, row_losses.data(), &flops);
+
+  COLSGD_CHECK_LE(terms.size(), std::numeric_limits<uint32_t>::max());
+  shard_terms.resize(static_cast<size_t>(num_shards));
+  for (std::vector<uint32_t>& list : shard_terms) list.clear();
+  // The models add a feature's slots one after another, so the shard is
+  // looked up once per run of slots of one feature.
+  const uint64_t wpf = static_cast<uint64_t>(spec.weights_per_feature());
+  uint64_t run_begin = 0;
+  uint64_t run_end = 0;  // empty: the first term starts a run
+  std::vector<uint32_t>* list = nullptr;
+  for (size_t i = 0; i < terms.size(); ++i) {
+    const uint64_t slot = terms[i].slot;
+    if (slot < run_begin || slot >= run_end) {
+      const uint64_t feature = slot / wpf;
+      run_begin = feature * wpf;
+      run_end = run_begin + wpf;
+      list = &shard_terms[feature % static_cast<uint64_t>(num_shards)];
+    }
+    list->push_back(static_cast<uint32_t>(i));
+  }
+}
+
+void ForEachWorker(int n, const std::function<void(int)>& body) {
+  kernels::SharedPool().ParallelFor(
+      static_cast<size_t>(n), 1, [&](size_t begin, size_t end) {
+        for (size_t w = begin; w < end; ++w) body(static_cast<int>(w));
+      });
+}
+
+size_t ShardedUpdate::Apply(const std::vector<RowWorkerStep>& steps,
+                            GradAccumulator* grad, size_t batch_total,
+                            const RegularizerConfig& reg, Optimizer* optimizer,
+                            std::vector<double>* weights,
+                            std::vector<double>* opt_state, FlopCounter* flops,
+                            double* grad_sq) {
+  COLSGD_CHECK(!steps.empty());
+  const size_t num_shards = steps[0].shard_terms.size();
+  std::vector<size_t> offset(steps.size() + 1, 0);
+  for (size_t w = 0; w < steps.size(); ++w) {
+    COLSGD_CHECK_EQ(steps[w].shard_terms.size(), num_shards);
+    offset[w + 1] = offset[w] + steps[w].terms.size();
+  }
+  first_sq_.assign(offset.back(), 0.0);
+  is_first_.assign(offset.back(), 0);
+  shards_.resize(num_shards);
+
+  const double inv_batch = 1.0 / static_cast<double>(batch_total);
+  const int sps = optimizer->state_per_slot();
+  optimizer->BeginStep();
+  kernels::SharedPool().ParallelFor(
+      num_shards, 1, [&](size_t shard_begin, size_t shard_end) {
+        for (size_t s = shard_begin; s < shard_end; ++s) {
+          std::vector<uint64_t>& touched = shards_[s].touched;
+          std::vector<size_t>& first_pos = shards_[s].first_pos;
+          touched.clear();
+          first_pos.clear();
+          for (size_t w = 0; w < steps.size(); ++w) {
+            const GradTerms& terms = steps[w].terms;
+            for (uint32_t i : steps[w].shard_terms[s]) {
+              if (grad->AddUntracked(terms[i].slot, terms[i].value)) {
+                touched.push_back(terms[i].slot);
+                first_pos.push_back(offset[w] + i);
+              }
+            }
+          }
+          // ApplySparseUpdate's per-slot body.
+          for (size_t j = 0; j < touched.size(); ++j) {
+            const uint64_t slot = touched[j];
+            const double g =
+                grad->value(slot) * inv_batch + reg.Grad((*weights)[slot]);
+            first_sq_[first_pos[j]] = g * g;
+            is_first_[first_pos[j]] = 1;
+            double* state = sps > 0 ? opt_state->data() + slot * sps : nullptr;
+            optimizer->ApplyUpdate(&(*weights)[slot], g, state);
+            grad->ClearUntracked(slot);
+          }
+        }
+      });
+
+  double sq = 0.0;
+  for (size_t p = 0; p < first_sq_.size(); ++p) {
+    if (is_first_[p]) sq += first_sq_[p];
+  }
+  if (grad_sq != nullptr) *grad_sq += sq;
+  size_t touched = 0;
+  for (const ShardLists& shard : shards_) touched += shard.touched.size();
+  if (flops != nullptr) flops->Add(8 * touched);
+  return touched;
+}
+
+}  // namespace colsgd

@@ -1,12 +1,11 @@
 #include "engine/rowsgd.h"
 
-#include <unordered_set>
+#include "engine/row_sampling.h"
 
 namespace colsgd {
 
 namespace {
 constexpr double kDefaultSchedOverhead = 0.4;  // Spark stage/task latency
-constexpr uint64_t kSampleFlops = 32;
 }  // namespace
 
 MllibEngine::MllibEngine(const ClusterSpec& cluster_spec,
@@ -46,6 +45,7 @@ Status MllibEngine::Setup(const Dataset& dataset) {
   optimizer_ = MakeOptimizer(config_.optimizer, config_.learning_rate);
   opt_state_.assign(slots * optimizer_->state_per_slot(), 0.0);
   grad_ = std::make_unique<GradAccumulator>(slots);
+  steps_.assign(partitions_.size(), RowWorkerStep{});
 
   if (MasterMemoryBytes() > cluster_spec_.node_memory_budget) {
     return Status::OutOfMemory("MLlib master model does not fit: " +
@@ -113,56 +113,29 @@ Status MllibEngine::DoRunIteration(int64_t iteration) {
   // copies serialize through the master's NIC).
   runtime_->BroadcastToWorkers(runtime_->master(), model_bytes);
 
-  // Step 2: each worker samples B/K local rows and computes its gradient.
-  // The gradient sum across workers lands in one accumulator; per-worker
-  // compute is charged individually.
+  // Step 2: each worker samples B/K local rows and computes its gradient,
+  // all at once on the host pool; the charges below replay in worker order.
+  ForEachWorker(K, [&](int w) {
+    RowWorkerStep& step = steps_[w];
+    step.Draw(partitions_[w], partition_rows_[w], WorkerBatchSize(w),
+              WorkerIterationRng(config_.seed, iteration, w),
+              options_.sparse_gradient_push);
+    step.ForwardGrad(*model_, weights_, K);
+  });
   double loss_sum = 0.0;
   size_t batch_total = 0;
   for (int w = 0; w < K; ++w) {
     const NodeId node = runtime_->worker_node(w);
-    Rng rng = Rng(config_.seed)
-                  .Split(static_cast<uint64_t>(iteration))
-                  .Split(static_cast<uint64_t>(w) + 1);
-    FlopCounter flops;
-    std::unordered_set<uint32_t> batch_features;  // for the sparse-push size
-    const size_t local_batch = WorkerBatchSize(w);
-    BatchView batch;
-    batch.rows.reserve(local_batch);
-    batch.labels.reserve(local_batch);
-    for (size_t i = 0; i < local_batch; ++i) {
-      // Locate a local row: global ordinal within this worker's blocks.
-      uint64_t target = rng.NextBounded(partition_rows_[w]);
-      const RowBlock* block = nullptr;
-      for (const RowBlock& b : partitions_[w]) {
-        if (target < b.num_rows()) {
-          block = &b;
-          break;
-        }
-        target -= b.num_rows();
-      }
-      flops.Add(kSampleFlops);
-      const SparseVectorView row =
-          block->rows.Row(static_cast<size_t>(target));
-      batch.rows.push_back(row);
-      batch.labels.push_back(block->labels[static_cast<size_t>(target)]);
-      if (options_.sparse_gradient_push) {
-        for (size_t j = 0; j < row.nnz; ++j) {
-          batch_features.insert(row.indices[j]);
-        }
-      }
-    }
-    // Fused forward + gradient over the sampled batch (kernel layer);
-    // losses and scatters land in the same per-row order as before.
-    model_->RowBatchForwardGrad(batch, weights_, grad_.get(), &loss_sum,
-                                &flops);
-    batch_total += local_batch;
+    const RowWorkerStep& step = steps_[w];
+    for (double loss : step.row_losses) loss_sum += loss;
+    batch_total += step.batch.size();
     // Dense gradient buffer sweep (zeroing + densification for the push).
-    runtime_->ChargeCompute(node, flops.flops());
+    runtime_->ChargeCompute(node, step.flops.flops());
     runtime_->ChargeMemTouch(node, model_bytes);
     const double level = StragglerLevelFor(iteration, w);
     if (level > 0.0) {
       runtime_->AdvanceClock(
-          node, level * cluster_spec_.compute.SecondsFor(flops.flops()));
+          node, level * cluster_spec_.compute.SecondsFor(step.flops.flops()));
     }
 
     // Step 3: push the gradient to the master.
@@ -170,7 +143,7 @@ Status MllibEngine::DoRunIteration(int64_t iteration) {
     if (options_.sparse_gradient_push) {
       // m*phi1 touched features, each carrying its weights_per_feature
       // gradient entries (Table I's sparse worker push).
-      push_bytes = 16 + batch_features.size() *
+      push_bytes = 16 + step.features.size() *
                             (sizeof(uint32_t) +
                              sizeof(double) * model_->weights_per_feature());
     }
@@ -182,9 +155,12 @@ Status MllibEngine::DoRunIteration(int64_t iteration) {
   TracePhase(Phase::kCompute);
   runtime_->ChargeCompute(runtime_->master(),
                           static_cast<uint64_t>(K) * weights_.size());
+  // On the host the master's apply is split like K server shards would
+  // split it, and runs on the pool.
   FlopCounter update_flops;
-  ApplySparseUpdate(grad_.get(), batch_total, config_.reg, optimizer_.get(),
-                    &weights_, &opt_state_, &update_flops, grad_sq_accum());
+  update_.Apply(steps_, grad_.get(), batch_total, config_.reg,
+                optimizer_.get(), &weights_, &opt_state_, &update_flops,
+                grad_sq_accum());
   runtime_->ChargeCompute(runtime_->master(), update_flops.flops());
   return Status::OK();
 }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "engine/api.h"
+#include "engine/row_step.h"
 
 namespace colsgd {
 
@@ -53,6 +54,9 @@ class MllibEngine : public Engine {
   std::vector<double> opt_state_;
   std::unique_ptr<Optimizer> optimizer_;
   std::unique_ptr<GradAccumulator> grad_;
+  // One per worker, and the master's scatter/apply scratch (DESIGN.md §18).
+  std::vector<RowWorkerStep> steps_;
+  ShardedUpdate update_;
   // Worker-local row partitions.
   std::vector<std::vector<RowBlock>> partitions_;
   std::vector<uint64_t> partition_rows_;

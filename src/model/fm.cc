@@ -131,8 +131,8 @@ double FactorizationMachine::RowLoss(const SparseVectorView& row, float label,
 
 void FactorizationMachine::RowBatchForwardGrad(const BatchView& batch,
                                                const std::vector<double>& model,
-                                               GradAccumulator* grad,
-                                               double* loss_sum,
+                                               GradTerms* terms,
+                                               double* row_losses,
                                                FlopCounter* flops) const {
   const int F = num_factors_;
   const int wpf = 1 + F;
@@ -149,8 +149,8 @@ void FactorizationMachine::RowBatchForwardGrad(const BatchView& batch,
     const double* s = stats.data() + i * wpf;
     const double score = ScoreFromStats(s);
     const SparseVectorView& row = batch.rows[i];
-    if (loss_sum != nullptr) {
-      *loss_sum += PointLoss(batch.labels[i], score);
+    if (row_losses != nullptr) {
+      row_losses[i] = PointLoss(batch.labels[i], score);
       work += row.nnz * fwd_flops_per_nnz;  // the loss pass's forward
     }
     work += row.nnz * fwd_flops_per_nnz;  // the gradient pass's forward
@@ -160,10 +160,10 @@ void FactorizationMachine::RowBatchForwardGrad(const BatchView& batch,
       const double x = row.values[j];
       const uint64_t base = static_cast<uint64_t>(row.indices[j]) * wpf;
       const double* w = model.data() + base;
-      grad->Add(base, coeff * x);
+      terms->Add(base, coeff * x);
       const double x2 = x * x;
       for (int c = 1; c <= F; ++c) {
-        grad->Add(base + c, coeff * (x * s[c] - w[c] * x2));
+        terms->Add(base + c, coeff * (x * s[c] - w[c] * x2));
       }
     }
     work += row.nnz * grad_flops_per_nnz;

@@ -67,7 +67,7 @@ double BinaryGlm::RowLoss(const SparseVectorView& row, float label,
 
 void BinaryGlm::RowBatchForwardGrad(const BatchView& batch,
                                     const std::vector<double>& model,
-                                    GradAccumulator* grad, double* loss_sum,
+                                    GradTerms* terms, double* row_losses,
                                     FlopCounter* flops) const {
   const size_t n = batch.size();
   // Forward once per row (the seed path computed each dot twice); the score
@@ -77,12 +77,12 @@ void BinaryGlm::RowBatchForwardGrad(const BatchView& batch,
   const kernels::GlmLink lk = link();
   uint64_t work = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (loss_sum != nullptr) {
-      *loss_sum += kernels::LinkLoss(lk, batch.labels[i], scores[i]);
+    if (row_losses != nullptr) {
+      row_losses[i] = kernels::LinkLoss(lk, batch.labels[i], scores[i]);
       work += 2 * batch.rows[i].nnz;
     }
     const double coeff = kernels::LinkCoeff(lk, batch.labels[i], scores[i]);
-    if (coeff != 0.0) kernels::ScatterRow(batch.rows[i], coeff, grad);
+    if (coeff != 0.0) kernels::ScatterRow(batch.rows[i], coeff, terms);
     work += 4 * batch.rows[i].nnz;
   }
   if (flops != nullptr) flops->Add(work);

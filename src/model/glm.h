@@ -44,8 +44,8 @@ class BinaryGlm : public ModelSpec {
                  FlopCounter* flops) const override;
 
   void RowBatchForwardGrad(const BatchView& batch,
-                           const std::vector<double>& model,
-                           GradAccumulator* grad, double* loss_sum,
+                           const std::vector<double>& model, GradTerms* terms,
+                           double* row_losses,
                            FlopCounter* flops) const override;
 
   /// \brief The margin <w, x>.

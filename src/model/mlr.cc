@@ -113,7 +113,7 @@ double MultinomialLogisticRegression::RowLoss(const SparseVectorView& row,
 
 void MultinomialLogisticRegression::RowBatchForwardGrad(
     const BatchView& batch, const std::vector<double>& model,
-    GradAccumulator* grad, double* loss_sum, FlopCounter* flops) const {
+    GradTerms* terms, double* row_losses, FlopCounter* flops) const {
   const int C = num_classes_;
   const size_t n = batch.size();
   // Forward once per row (the seed path ran the class dots twice); softmax
@@ -125,12 +125,12 @@ void MultinomialLogisticRegression::RowBatchForwardGrad(
   for (size_t i = 0; i < n; ++i) {
     Softmax(scores.data() + i * C, &probs);
     const int target = Target(batch.labels[i]);
-    if (loss_sum != nullptr) {
-      *loss_sum += -std::log(std::max(probs[target], 1e-300));
+    if (row_losses != nullptr) {
+      row_losses[i] = -std::log(std::max(probs[target], 1e-300));
       work += 2 * batch.rows[i].nnz * C;
     }
     probs[target] -= 1.0;
-    kernels::ScatterRowMulti(batch.rows[i], probs.data(), C, grad);
+    kernels::ScatterRowMulti(batch.rows[i], probs.data(), C, terms);
     work += 4 * batch.rows[i].nnz * C;
   }
   if (flops != nullptr) flops->Add(work);

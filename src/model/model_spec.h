@@ -59,15 +59,31 @@ class GradAccumulator {
     grad_[slot] += g;
   }
 
+  /// \brief Add() for a caller that keeps its own touched lists, one per
+  /// shard of the slot space (ShardedUpdate, engine/row_step.h): the slot is
+  /// not appended to touched(). Returns whether this is the slot's first
+  /// touch since it was last cleared. Calls on distinct slots may run
+  /// concurrently.
+  bool AddUntracked(uint64_t slot, double g) {
+    COLSGD_CHECK_LT(slot, grad_.size());
+    grad_[slot] += g;
+    if (is_touched_[slot]) return false;
+    is_touched_[slot] = 1;
+    return true;
+  }
+
+  /// \brief Zeroes one slot added through AddUntracked.
+  void ClearUntracked(uint64_t slot) {
+    grad_[slot] = 0.0;
+    is_touched_[slot] = 0;
+  }
+
   const std::vector<uint64_t>& touched() const { return touched_; }
   double value(uint64_t slot) const { return grad_[slot]; }
   size_t num_slots() const { return grad_.size(); }
 
   void Reset() {
-    for (uint64_t slot : touched_) {
-      grad_[slot] = 0.0;
-      is_touched_[slot] = 0;
-    }
+    for (uint64_t slot : touched_) ClearUntracked(slot);
     touched_.clear();
   }
 
@@ -75,6 +91,34 @@ class GradAccumulator {
   std::vector<double> grad_;
   std::vector<uint8_t> is_touched_;
   std::vector<uint64_t> touched_;
+};
+
+/// \brief One gradient contribution: `value` is to be added to `slot`.
+struct GradTerm {
+  uint64_t slot = 0;
+  double value = 0.0;
+};
+
+/// \brief A batch's gradient terms in the order the model produced them,
+/// which is the order GradAccumulator::Add would have received them. Each
+/// row-engine worker records its batch into one of these, away from the
+/// shared accumulator, so workers can run at the same time (DESIGN.md §18).
+/// Has GradAccumulator's Add, so the scatter kernels fill either. Clear
+/// keeps the capacity for the next iteration.
+class GradTerms {
+ public:
+  void Add(uint64_t slot, double g) { terms_.push_back(GradTerm{slot, g}); }
+  void Clear() { terms_.clear(); }
+
+  size_t size() const { return terms_.size(); }
+  const GradTerm& operator[](size_t i) const { return terms_[i]; }
+  std::vector<GradTerm>::const_iterator begin() const {
+    return terms_.begin();
+  }
+  std::vector<GradTerm>::const_iterator end() const { return terms_.end(); }
+
+ private:
+  std::vector<GradTerm> terms_;
 };
 
 /// \brief One trainable model (LR, SVM, MLR, FM, ...).
@@ -217,25 +261,28 @@ class ModelSpec {
   /// loop of every RowSGD baseline engine. Semantically identical to, and
   /// charged exactly like, the per-row sequence
   ///
-  ///   if (loss_sum) *loss_sum += RowLoss(row, label, model, flops);
+  ///   if (row_losses) row_losses[i] = RowLoss(row, label, model, flops);
   ///   AccumulateRowGradient(row, label, model, grad, flops);
   ///
-  /// in batch order (`loss_sum == nullptr` skips the loss pass and its flop
-  /// charge — MLlib*'s extra local steps). Models override this to run the
-  /// kernel layer's forward once per row (mode-dispatched, DESIGN.md §18)
-  /// and reuse the scores for both loss and gradient; the scatter stays in
+  /// in batch order, with every grad->Add(slot, g) recorded, in order, into
+  /// `terms` instead of summed. `row_losses` (batch.size() entries) gets
+  /// each row's loss in its own entry; nullptr skips the loss pass and its
+  /// flop charge (MLlib*'s extra local steps). Only reads `model`, so
+  /// workers may run it at the same time on one model (DESIGN.md §18).
+  /// Models run the kernel layer's forward once per row (mode-dispatched)
+  /// and reuse the scores for both loss and gradient; the terms stay in
   /// batch order, so every kernel mode produces the seed's exact bits.
+  /// Every model on the row path overrides this; the default dies.
   virtual void RowBatchForwardGrad(const BatchView& batch,
                                    const std::vector<double>& model,
-                                   GradAccumulator* grad, double* loss_sum,
+                                   GradTerms* terms, double* row_losses,
                                    FlopCounter* flops) const {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (loss_sum != nullptr) {
-        *loss_sum += RowLoss(batch.rows[i], batch.labels[i], model, flops);
-      }
-      AccumulateRowGradient(batch.rows[i], batch.labels[i], model, grad,
-                            flops);
-    }
+    (void)batch;
+    (void)model;
+    (void)terms;
+    (void)row_losses;
+    (void)flops;
+    COLSGD_CHECK(false) << name() << " has no fused row path";
   }
 
   /// \brief Decision score of one row against a full (global-layout) model:

@@ -34,10 +34,15 @@ class Optimizer {
   virtual ~Optimizer() = default;
   virtual std::string name() const = 0;
   virtual int state_per_slot() const = 0;
-  /// \brief Called once per iteration before any ApplyUpdate.
+  /// \brief Called once per iteration before any ApplyUpdate. Everything an
+  /// iteration's updates share (step counters, bias corrections) changes
+  /// here and only here.
   virtual void BeginStep() {}
   /// \brief Applies the update for one slot; `grad` is the batch-averaged
-  /// gradient including regularization.
+  /// gradient including regularization. After BeginStep it must be safe to
+  /// call concurrently on distinct slots: it may write only `*weight` and
+  /// `state` (the row engines apply their server shards in parallel,
+  /// engine/row_step.h).
   virtual void ApplyUpdate(double* weight, double grad, double* state) = 0;
   /// \brief Fresh instance with the same hyperparameters (one per worker or
   /// replica; each keeps its own step counter).
