@@ -1,7 +1,6 @@
 #include "serve/fleet.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <deque>
 #include <utility>
@@ -13,16 +12,6 @@
 namespace colsgd {
 
 namespace {
-
-/// \brief Nearest-rank percentile over an ascending-sorted sample.
-double Percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const size_t n = sorted.size();
-  size_t rank = static_cast<size_t>(std::ceil(q * static_cast<double>(n)));
-  if (rank < 1) rank = 1;
-  if (rank > n) rank = n;
-  return sorted[rank - 1];
-}
 
 /// \brief Rolling window of note round-trips the hedge budget tracks. Small
 /// on purpose: the budget should follow load shifts within a simulated run.
@@ -257,14 +246,18 @@ int ServeFleet::PickGroup(const std::vector<int>& healthy, int exclude) {
   return route_rng_.NextBounded(2) == 0 ? a : b;
 }
 
-double ServeFleet::HedgeBudget() const {
+double ServeFleet::HedgeBudget() {
   if (static_cast<int64_t>(note_samples_.size()) < config_.hedge_min_samples) {
     return kNever;
   }
-  std::vector<double> sorted = note_samples_;
-  std::sort(sorted.begin(), sorted.end());
-  const double q = Percentile(sorted, config_.hedge_quantile);
-  return std::max(config_.hedge_factor * q, config_.hedge_min_budget);
+  // Selects the nearest-rank order statistic without sorting the window
+  // (hedge_min_samples >= 1, so it is not empty).
+  hedge_scratch_.assign(note_samples_.begin(), note_samples_.end());
+  const auto nth = hedge_scratch_.begin() +
+                   static_cast<std::ptrdiff_t>(NearestRankIndex(
+                       hedge_scratch_.size(), config_.hedge_quantile));
+  std::nth_element(hedge_scratch_.begin(), nth, hedge_scratch_.end());
+  return std::max(config_.hedge_factor * *nth, config_.hedge_min_budget);
 }
 
 void ServeFleet::Forward(FleetBatch* batch, int group, double t,
@@ -861,9 +854,9 @@ FleetSummary ServeFleet::Summarize() const {
     double sum = 0.0;
     for (double l : latencies) sum += l;
     s.latency_mean = sum / static_cast<double>(latencies.size());
-    s.latency_p50 = Percentile(latencies, 0.50);
-    s.latency_p95 = Percentile(latencies, 0.95);
-    s.latency_p99 = Percentile(latencies, 0.99);
+    s.latency_p50 = latencies[NearestRankIndex(latencies.size(), 0.50)];
+    s.latency_p95 = latencies[NearestRankIndex(latencies.size(), 0.95)];
+    s.latency_p99 = latencies[NearestRankIndex(latencies.size(), 0.99)];
     s.latency_max = latencies.back();
   }
   const TrafficStats total = runtime_->net().TotalStats();

@@ -223,7 +223,7 @@ class ServeFleet {
   void ProcessSwapEvent(ScheduledFleetSwap* swap);
   void ProcessGroupLossDetection(ScheduledGroupLoss* loss);
   /// \brief Current hedge budget, or kNever while the window warms up.
-  double HedgeBudget() const;
+  double HedgeBudget();
 
   FleetConfig config_;
   std::unique_ptr<ClusterRuntime> runtime_;
@@ -249,6 +249,7 @@ class ServeFleet {
   std::vector<double> down_at_;        // group death time (kNever: alive)
   std::vector<double> healthy_at_;     // router routes again from here
   std::vector<double> note_samples_;   // rolling note round-trip window
+  std::vector<double> hedge_scratch_;  // HedgeBudget's selection buffer
   size_t note_sample_next_ = 0;
   std::vector<FleetBatch> batches_store_;
 

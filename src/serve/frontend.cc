@@ -10,19 +10,12 @@
 
 namespace colsgd {
 
-namespace {
-
-/// \brief Nearest-rank percentile over an ascending-sorted sample.
-double Percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const size_t n = sorted.size();
+size_t NearestRankIndex(size_t n, double q) {
   size_t rank = static_cast<size_t>(std::ceil(q * static_cast<double>(n)));
   if (rank < 1) rank = 1;
   if (rank > n) rank = n;
-  return sorted[rank - 1];
+  return rank - 1;
 }
-
-}  // namespace
 
 Status ServeConfig::Validate(const ServeConfig& config) {
   if (config.num_shards < 1) {
@@ -246,9 +239,9 @@ ServeSummary ServeFrontend::Summarize() const {
     double sum = 0.0;
     for (double l : latencies) sum += l;
     s.latency_mean = sum / static_cast<double>(latencies.size());
-    s.latency_p50 = Percentile(latencies, 0.50);
-    s.latency_p95 = Percentile(latencies, 0.95);
-    s.latency_p99 = Percentile(latencies, 0.99);
+    s.latency_p50 = latencies[NearestRankIndex(latencies.size(), 0.50)];
+    s.latency_p95 = latencies[NearestRankIndex(latencies.size(), 0.95)];
+    s.latency_p99 = latencies[NearestRankIndex(latencies.size(), 0.99)];
     s.latency_max = latencies.back();
   }
   const TrafficStats total = runtime_->net().TotalStats();

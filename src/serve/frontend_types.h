@@ -5,6 +5,7 @@
 #ifndef COLSGD_SERVE_FRONTEND_TYPES_H_
 #define COLSGD_SERVE_FRONTEND_TYPES_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -12,6 +13,11 @@
 #include "common/status.h"
 
 namespace colsgd {
+
+/// \brief 0-based position of the nearest-rank q-quantile in an ascending
+/// sample of n >= 1 values: rank ceil(q * n), clamped to [1, n], minus one.
+/// The serving plane's latency percentiles and hedge budget all use it.
+size_t NearestRankIndex(size_t n, double q);
 
 struct ServeConfig {
   int num_shards = 4;
