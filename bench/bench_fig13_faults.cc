@@ -389,10 +389,21 @@ int main(int argc, char** argv) {
   std::string out_dir = ".";
   std::string bench_out = ".";
   flags.AddInt64("iterations", &iterations, "total SGD iterations");
-  flags.AddInt64("fail_at", &fail_at, "iteration at which the failure fires");
+  flags.AddInt64("fail_at", &fail_at,
+                 "iteration at which the failure fires, in [1, iterations)");
   flags.AddString("out_dir", &out_dir, "directory for CSV dumps");
   bench::AddBenchOutFlag(&flags, &bench_out);
-  COLSGD_CHECK_OK(flags.Parse(argc, argv));
+  Status st = flags.Parse(argc, argv);
+  // Outside [1, iterations) the failure would never fire, or the trace
+  // would print a loss before the failure that no iteration measured.
+  if (st.ok() && (fail_at < 1 || fail_at >= iterations)) {
+    st = Status::InvalidArgument("--fail_at must be in [1, --iterations)");
+  }
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    flags.PrintUsage(argv[0]);
+    return 2;
+  }
   bench::BenchRunner runner("fig13_faults", bench_out);
   runner.SetEnvInt("iterations", iterations);
   runner.SetEnvInt("fail_at", fail_at);

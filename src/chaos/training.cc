@@ -148,7 +148,10 @@ std::string DescribePlan(const TrainingSchedule& s) {
     out += "partition(@" + std::to_string(p.start_iteration) + "+" +
            std::to_string(p.iterations) + " side_a={";
     for (size_t i = 0; i < p.side_a.size(); ++i) {
-      out += (i > 0 ? "," : "") + std::to_string(p.side_a[i]);
+      // Two appends: `"," + std::to_string(...)` made GCC 12 report a
+      // spurious -Wrestrict from the inlined string insert.
+      if (i > 0) out += ",";
+      out += std::to_string(p.side_a[i]);
     }
     out += "}) ";
   }

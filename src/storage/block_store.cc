@@ -17,10 +17,17 @@ constexpr size_t kHeaderBytes =
     sizeof(uint32_t) + sizeof(uint64_t) + sizeof(uint64_t);
 constexpr size_t kTrailerBytes = sizeof(uint32_t);
 
+// Images are written into a vector of their final size: appending a few
+// bytes at a time made GCC 12 report a spurious -Wstringop-overflow from
+// the inlined vector::insert.
+uint8_t* PutBytes(uint8_t* out, const void* data, size_t size) {
+  if (size > 0) std::memcpy(out, data, size);
+  return out + size;
+}
+
 template <typename T>
-void AppendPod(std::vector<uint8_t>* out, const T& value) {
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(&value);
-  out->insert(out->end(), p, p + sizeof(T));
+uint8_t* PutPod(uint8_t* out, const T& value) {
+  return PutBytes(out, &value, sizeof(T));
 }
 
 template <typename T>
@@ -90,14 +97,12 @@ std::vector<int> BlockPlacement::HoldersWithPrimary(uint64_t block_id,
 
 std::vector<uint8_t> BlockImage::Seal(uint64_t block_id,
                                       const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> image;
-  image.reserve(kHeaderBytes + payload.size() + kTrailerBytes);
-  AppendPod(&image, kBlockMagic);
-  AppendPod(&image, block_id);
-  AppendPod(&image, static_cast<uint64_t>(payload.size()));
-  image.insert(image.end(), payload.begin(), payload.end());
-  const uint32_t crc = Crc32c(image.data(), image.size());
-  AppendPod(&image, crc);
+  std::vector<uint8_t> image(SealedSize(payload.size()));
+  uint8_t* p = PutPod(image.data(), kBlockMagic);
+  p = PutPod(p, block_id);
+  p = PutPod(p, static_cast<uint64_t>(payload.size()));
+  p = PutBytes(p, payload.data(), payload.size());
+  PutPod(p, Crc32c(image.data(), kHeaderBytes + payload.size()));
   return image;
 }
 
@@ -135,16 +140,15 @@ uint64_t BlockImage::SealedSize(uint64_t payload_size) {
 }
 
 std::vector<uint8_t> ModelSliceBlock::Serialize() const {
-  std::vector<uint8_t> out;
-  out.reserve(2 * sizeof(uint64_t) + sizeof(int64_t) +
-              (weights.size() + opt_state.size()) * sizeof(double));
-  AppendPod(&out, partition);
-  AppendPod(&out, static_cast<uint64_t>(weights.size()));
-  AppendPod(&out, static_cast<uint64_t>(opt_state.size()));
-  const uint8_t* w = reinterpret_cast<const uint8_t*>(weights.data());
-  out.insert(out.end(), w, w + weights.size() * sizeof(double));
-  const uint8_t* s = reinterpret_cast<const uint8_t*>(opt_state.data());
-  out.insert(out.end(), s, s + opt_state.size() * sizeof(double));
+  const size_t weight_bytes = weights.size() * sizeof(double);
+  const size_t state_bytes = opt_state.size() * sizeof(double);
+  std::vector<uint8_t> out(sizeof(partition) + 2 * sizeof(uint64_t) +
+                           weight_bytes + state_bytes);
+  uint8_t* p = PutPod(out.data(), partition);
+  p = PutPod(p, static_cast<uint64_t>(weights.size()));
+  p = PutPod(p, static_cast<uint64_t>(opt_state.size()));
+  p = PutBytes(p, weights.data(), weight_bytes);
+  PutBytes(p, opt_state.data(), state_bytes);
   return out;
 }
 
