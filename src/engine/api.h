@@ -304,8 +304,9 @@ class Engine {
 
   /// \brief Accumulator for the squared l2 norm of this iteration's applied
   /// gradients. RunIteration resets it to NaN; engines whose update path
-  /// reports gradient magnitudes pass this to ApplySparseUpdate (or add
-  /// g*g terms directly), which lazily zeroes it. A NaN at the end of the
+  /// reports gradient magnitudes pass this to ApplySparseUpdate or
+  /// ShardedUpdate::Apply (or add g*g terms directly), which lazily zeroes
+  /// it. A NaN at the end of the
   /// iteration means "not measured" and stays NaN in the telemetry.
   double* grad_sq_accum() {
     if (std::isnan(last_grad_sq_)) last_grad_sq_ = 0.0;
