@@ -4,6 +4,7 @@
 // rewrite against the direct pairwise Equation 9).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -217,6 +218,50 @@ TEST_P(ModelMathTest, FlopsAreCounted) {
   GradAccumulator grad(weights.size());
   model.AccumulateGradFromStats(view, stats, weights, &grad, &grad_flops);
   EXPECT_GT(grad_flops.flops(), 0u);
+}
+
+TEST_P(ModelMathTest, FusedRowPathRecordsThePerRowSequence) {
+  // RowBatchForwardGrad's contract (model_spec.h): its terms are, in order,
+  // the Add calls of AccumulateRowGradient row by row, row_losses[i] is
+  // RowLoss of row i, and the FLOP charge is the per-row sequence's, with
+  // and without the loss pass.
+  const ModelSpec& model = *model_;
+  TestBatch batch = MakeBatch(model, 12, 21);
+  const std::vector<double> weights = MakeModelWeights(model, 22);
+  const BatchView view = batch.View();
+  GradAccumulator per_row(weights.size());
+  std::vector<double> losses;
+  FlopCounter loss_flops;
+  FlopCounter grad_flops;
+  for (size_t i = 0; i < view.size(); ++i) {
+    losses.push_back(
+        model.RowLoss(view.rows[i], view.labels[i], weights, &loss_flops));
+    model.AccumulateRowGradient(view.rows[i], view.labels[i], weights,
+                                &per_row, &grad_flops);
+  }
+  for (bool with_loss : {true, false}) {
+    SCOPED_TRACE(with_loss ? "with loss" : "without loss");
+    GradTerms terms;
+    std::vector<double> row_losses(view.size(), 0.0);
+    FlopCounter flops;
+    model.RowBatchForwardGrad(view, weights, &terms,
+                              with_loss ? row_losses.data() : nullptr, &flops);
+    GradAccumulator fused(weights.size());
+    for (const GradTerm& term : terms) fused.Add(term.slot, term.value);
+    EXPECT_EQ(fused.touched(), per_row.touched());
+    for (uint64_t slot : per_row.touched()) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(fused.value(slot)),
+                std::bit_cast<uint64_t>(per_row.value(slot)))
+          << "slot " << slot;
+    }
+    EXPECT_EQ(flops.flops(),
+              grad_flops.flops() + (with_loss ? loss_flops.flops() : 0));
+    for (size_t i = 0; with_loss && i < view.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(row_losses[i]),
+                std::bit_cast<uint64_t>(losses[i]))
+          << "row " << i;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ModelMathTest,
