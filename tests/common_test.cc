@@ -1,6 +1,7 @@
 // Unit tests for common/: Status, Result, byte buffers, RNG, flags, CSV.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <fstream>
 
@@ -379,6 +380,40 @@ TEST(Crc32cTest, ExtendComposesIncrementally) {
   uint32_t split = ExtendCrc32c(0, data.data(), 9);
   split = ExtendCrc32c(split, data.data() + 9, data.size() - 9);
   EXPECT_EQ(split, whole);
+}
+
+// The byte-at-a-time CRC32C: one table lookup per byte. ExtendCrc32c must
+// give exactly its values whatever loop it runs.
+uint32_t ByteLoopCrc32c(uint32_t crc, const uint8_t* p, size_t n) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? (c >> 1) ^ 0x82F63B78u : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  crc = ~crc;
+  for (size_t i = 0; i < n; ++i) crc = table[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
+  return ~crc;
+}
+
+TEST(Crc32cTest, MatchesTheByteLoopAtEveryLengthAndAlignment) {
+  // 64 bytes at each of the 8 alignments, plus slack; the starting CRCs
+  // cover a fresh checksum and an extended one.
+  alignas(8) std::array<uint8_t, 80> buffer{};
+  Rng rng(20);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.NextU64());
+  for (const uint32_t start : {0u, 0xE3069283u, 0xFFFFFFFFu}) {
+    for (size_t align = 0; align < 8; ++align) {
+      for (size_t len = 0; len <= 64; ++len) {
+        const uint8_t* p = buffer.data() + align;
+        EXPECT_EQ(ExtendCrc32c(start, p, len), ByteLoopCrc32c(start, p, len))
+            << "start " << start << " align " << align << " len " << len;
+      }
+    }
+  }
 }
 
 TEST(Crc32cTest, EverySingleBitFlipChangesTheChecksum) {
