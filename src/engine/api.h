@@ -436,17 +436,20 @@ inline size_t ApplySparseUpdate(GradAccumulator* grad, size_t batch_total,
   const int sps = optimizer->state_per_slot();
   optimizer->BeginStep();
   double sq = 0.0;
-  for (uint64_t slot : grad->touched()) {
-    double g = grad->value(slot) * inv_batch + reg.Grad((*weights)[slot]);
+  const std::vector<uint64_t>& touched = grad->touched();
+  const std::vector<double>& sums = grad->sums();
+  for (size_t i = 0; i < touched.size(); ++i) {
+    const uint64_t slot = touched[i];
+    const double g = sums[i] * inv_batch + reg.Grad((*weights)[slot]);
     sq += g * g;
     double* state = sps > 0 ? opt_state->data() + slot * sps : nullptr;
     optimizer->ApplyUpdate(&(*weights)[slot], g, state);
   }
   if (grad_sq != nullptr) *grad_sq += sq;
-  const size_t touched = grad->touched().size();
-  if (flops != nullptr) flops->Add(8 * touched);
+  const size_t num_touched = touched.size();
+  if (flops != nullptr) flops->Add(8 * num_touched);
   grad->Reset();
-  return touched;
+  return num_touched;
 }
 
 }  // namespace colsgd

@@ -186,6 +186,7 @@ uint64_t ColumnSgdEngine::WorkerMemoryBytes(int worker) const {
       for (int h : holders) holds |= h == worker;
       if (!holds) continue;
       const GroupState& state = groups_[g];
+      // The gradient scratch is charged as a dense buffer, as below.
       total += state.store.MemoryBytes() +
                (state.weights.size() + state.opt_state.size()) *
                    sizeof(double) +
@@ -196,8 +197,10 @@ uint64_t ColumnSgdEngine::WorkerMemoryBytes(int worker) const {
   const GroupState& state = groups_[GroupOf(worker)];
   const uint64_t model_bytes =
       (state.weights.size() + state.opt_state.size()) * sizeof(double);
-  const uint64_t scratch_bytes =
-      state.weights.size() * (sizeof(double) + 1);  // grad accumulator
+  // The modelled gradient scratch: a dense buffer plus a touched byte per
+  // local slot. It prices the simulated worker, not the host, whose
+  // GradAccumulator stores only the touched slots.
+  const uint64_t scratch_bytes = state.weights.size() * (sizeof(double) + 1);
   return state.store.MemoryBytes() + model_bytes + scratch_bytes + stats_bytes;
 }
 

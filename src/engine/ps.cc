@@ -86,7 +86,6 @@ Status PsEngine::Setup(const Dataset& dataset) {
   weights_ = InitialWeights(*model_, num_features_, config_.seed);
   optimizer_ = MakeOptimizer(config_.optimizer, config_.learning_rate);
   opt_state_.assign(slots * optimizer_->state_per_slot(), 0.0);
-  grad_ = std::make_unique<GradAccumulator>(slots);
   steps_.assign(partitions_.size(), RowWorkerStep{});
 
   if (config_.ssp.enabled) {
@@ -152,7 +151,10 @@ uint64_t PsEngine::WorkerMemoryBytes(int worker) const {
   for (const RowBlock& b : partitions_[worker]) {
     data_bytes += b.rows.ByteSize() + b.labels.size() * sizeof(float);
   }
-  // Dense weight cache + dense gradient buffer (the kvstore arrays).
+  // The modelled kvstore arrays, a dense weight cache and a dense gradient
+  // buffer, charged in full: this is the simulated node's memory, not the
+  // host's (whose gradient store is O(touched)). Table V's MXNet OOM at
+  // F=50 comes from these sizes.
   const uint64_t model_bytes =
       num_features_ * model_->weights_per_feature() * sizeof(double);
   return data_bytes + 2 * model_bytes;
@@ -645,9 +647,8 @@ Status PsEngine::DoRunIterationElastic(int64_t iteration) {
   // The aggregated update lands on every holder of each shard (lock-step
   // replicas), then the BSP barrier closes the round.
   FlopCounter update_flops;
-  update_.Apply(steps_, grad_.get(), batch_total, config_.reg,
-                optimizer_.get(), &weights_, &opt_state_, &update_flops,
-                grad_sq_accum());
+  update_.Apply(steps_, batch_total, config_.reg, optimizer_.get(), &weights_,
+                &opt_state_, &update_flops, grad_sq_accum());
   for (int s = 0; s < G; ++s) {
     for (int holder : block_store_.Holders(s)) {
       runtime_->ChargeCompute(runtime_->extra_node(holder),
@@ -782,9 +783,8 @@ Status PsEngine::DoRunIteration(int64_t iteration) {
   // The aggregated update lands on the server shards (BSP round); on the
   // host, each shard scatters and applies its own slots on the pool.
   FlopCounter update_flops;
-  update_.Apply(steps_, grad_.get(), batch_total, config_.reg,
-                optimizer_.get(), &weights_, &opt_state_, &update_flops,
-                grad_sq_accum());
+  update_.Apply(steps_, batch_total, config_.reg, optimizer_.get(), &weights_,
+                &opt_state_, &update_flops, grad_sq_accum());
   for (int s = 0; s < K; ++s) {
     runtime_->ChargeCompute(runtime_->extra_node(s),
                             update_flops.flops() / K);
@@ -1021,9 +1021,8 @@ Status PsEngine::DoRunIterationSsp(int64_t iteration) {
   // Version `iteration` applies once every push is in: one combined update in
   // the same order and float-sum sequence as BSP, charged on each shard.
   FlopCounter update_flops;
-  update_.Apply(steps_, grad_.get(), batch_total, config_.reg,
-                optimizer_.get(), &weights_, &opt_state_, &update_flops,
-                grad_sq_accum());
+  update_.Apply(steps_, batch_total, config_.reg, optimizer_.get(), &weights_,
+                &opt_state_, &update_flops, grad_sq_accum());
   SimTime applied_max = 0.0;
   SimTime push_done = 0.0;
   for (int s = 0; s < K; ++s) {

@@ -134,9 +134,9 @@ class PsEngine : public Engine {
   std::vector<double> weights_;
   std::vector<double> opt_state_;
   std::unique_ptr<Optimizer> optimizer_;
-  std::unique_ptr<GradAccumulator> grad_;
   // One per data partition (= worker under fixed membership), and the
-  // scatter/apply scratch over the server shards (DESIGN.md §18).
+  // scatter/apply over the server shards, which holds one gradient
+  // accumulator per shard (DESIGN.md §18).
   std::vector<RowWorkerStep> steps_;
   ShardedUpdate update_;
   std::unique_ptr<ColumnPartitioner> shard_map_;  // feature -> server

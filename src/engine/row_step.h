@@ -58,7 +58,8 @@ struct alignas(64) RowWorkerStep {
 void ForEachWorker(int n, const std::function<void(int)>& body);
 
 /// \brief The scatter and apply that close a row-engine iteration, one pool
-/// task per shard. Bit for bit the serial
+/// task per shard, each adding into its own shard's GradAccumulator. Bit for
+/// bit the serial
 ///
 ///   for each step, in order: for each term: grad->Add(term.slot, term.value)
 ///   ApplySparseUpdate(grad, batch_total, reg, optimizer, ...)
@@ -66,29 +67,30 @@ void ForEachWorker(int n, const std::function<void(int)>& body);
 /// because a shard task walks the steps in order and each step's terms in
 /// order, so every slot gets its additions in (worker, row, nnz) order; and
 /// because the squared gradient norm is summed afterwards over the slots in
-/// the order of their first touch. Optimizer::ApplyUpdate runs concurrently
-/// on distinct slots. Holds only per-iteration scratch, O(terms).
+/// the order of their first touch. A shard's task is the only writer to its
+/// accumulator; Optimizer::ApplyUpdate runs concurrently on distinct slots.
+/// Holds only per-iteration scratch, O(terms).
 class ShardedUpdate {
  public:
   /// \brief Returns the number of touched slots; see ApplySparseUpdate for
   /// the arguments. Every step must file its terms among the same number of
   /// shards.
-  size_t Apply(const std::vector<RowWorkerStep>& steps, GradAccumulator* grad,
-               size_t batch_total, const RegularizerConfig& reg,
-               Optimizer* optimizer, std::vector<double>* weights,
-               std::vector<double>* opt_state, FlopCounter* flops,
-               double* grad_sq);
+  size_t Apply(const std::vector<RowWorkerStep>& steps, size_t batch_total,
+               const RegularizerConfig& reg, Optimizer* optimizer,
+               std::vector<double>* weights, std::vector<double>* opt_state,
+               FlopCounter* flops, double* grad_sq);
 
  private:
-  // One shard's touched slots in first-touch order, and for each the
-  // position of its first term in the iteration's concatenated term order.
-  // Cache-line aligned: shard tasks append to their lists at the same time,
-  // and vectors sharing a line would make every append a cache miss.
-  struct alignas(64) ShardLists {
-    std::vector<uint64_t> touched;
+  // One shard's gradient, and for each of its touched slots the position of
+  // its first term in the iteration's concatenated term order. Cache-line
+  // aligned: shard tasks append to their lists at the same time, and
+  // vectors sharing a line would make every append a cache miss.
+  struct alignas(64) Shard {
+    explicit Shard(uint64_t num_slots) : grad(num_slots) {}
+    GradAccumulator grad;
     std::vector<size_t> first_pos;
   };
-  std::vector<ShardLists> shards_;
+  std::vector<Shard> shards_;
   // Per term position: the squared gradient of the slot first touched
   // there, and whether one was.
   std::vector<double> first_sq_;

@@ -44,7 +44,6 @@ Status MllibEngine::Setup(const Dataset& dataset) {
   weights_ = InitialWeights(*model_, num_features_, config_.seed);
   optimizer_ = MakeOptimizer(config_.optimizer, config_.learning_rate);
   opt_state_.assign(slots * optimizer_->state_per_slot(), 0.0);
-  grad_ = std::make_unique<GradAccumulator>(slots);
   steps_.assign(partitions_.size(), RowWorkerStep{});
 
   if (MasterMemoryBytes() > cluster_spec_.node_memory_budget) {
@@ -158,9 +157,8 @@ Status MllibEngine::DoRunIteration(int64_t iteration) {
   // On the host the master's apply is split like K server shards would
   // split it, and runs on the pool.
   FlopCounter update_flops;
-  update_.Apply(steps_, grad_.get(), batch_total, config_.reg,
-                optimizer_.get(), &weights_, &opt_state_, &update_flops,
-                grad_sq_accum());
+  update_.Apply(steps_, batch_total, config_.reg, optimizer_.get(), &weights_,
+                &opt_state_, &update_flops, grad_sq_accum());
   runtime_->ChargeCompute(runtime_->master(), update_flops.flops());
   return Status::OK();
 }

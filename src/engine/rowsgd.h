@@ -53,8 +53,8 @@ class MllibEngine : public Engine {
   std::vector<double> weights_;
   std::vector<double> opt_state_;
   std::unique_ptr<Optimizer> optimizer_;
-  std::unique_ptr<GradAccumulator> grad_;
-  // One per worker, and the master's scatter/apply scratch (DESIGN.md §18).
+  // One per worker, and the master's scatter/apply, which holds one gradient
+  // accumulator per shard of its update (DESIGN.md §18).
   std::vector<RowWorkerStep> steps_;
   ShardedUpdate update_;
   // Worker-local row partitions.

@@ -110,8 +110,8 @@ void FmForwardRows(const SparseVectorView* rows, size_t n, int num_factors,
 // (slot, value) pairs in ascending (nnz, class) order in every mode. A
 // GradAccumulator sums them and keeps first-touch order, which is
 // observable; the row engines' GradTerms records them, and the engine later
-// replays them into its accumulator slot by slot, in the same order, on the
-// shared pool (engine/row_step.h). So a kernel call is serial — one row's
+// replays them, in the same order, into one accumulator per server shard on
+// the shared pool (engine/row_step.h). So a kernel call is serial — one row's
 // contribution — and any parallelism lives in the callers above it.
 
 /// \brief acc->Add(indices[j], coeff * values[j]) in ascending j order.

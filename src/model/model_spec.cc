@@ -1,5 +1,7 @@
 #include "model/model_spec.h"
 
+#include <algorithm>
+
 #include "linalg/kernels/thread_pool.h"
 #include "storage/partitioner.h"
 
@@ -30,6 +32,25 @@ std::vector<double> FillInitialWeights(const ModelSpec& model, uint64_t dim,
 }
 
 }  // namespace
+
+void GradAccumulator::Reset() {
+  touched_.clear();
+  sums_.clear();
+  if (++epoch_ == 0) {  // wrapped: clear every entry a stale epoch left
+    std::fill(table_.begin(), table_.end(), Entry{});
+    epoch_ = 1;
+  }
+}
+
+void GradAccumulator::Grow() {
+  COLSGD_CHECK_LT(touched_.size(), uint64_t{1} << 31);
+  table_.assign(2 * table_.size(), Entry{});
+  --shift_;
+  for (size_t i = 0; i < touched_.size(); ++i) {
+    table_[Probe(touched_[i])] =
+        Entry{touched_[i], static_cast<uint32_t>(i), epoch_};
+  }
+}
 
 std::vector<double> InitialWeights(const ModelSpec& model,
                                    uint64_t num_features, uint64_t seed) {
