@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
   flags.AddInt64("iterations", &iterations, "iterations per optimizer");
   flags.AddString("out_dir", &out_dir, "directory for CSV dumps");
   colsgd::bench::AddBenchOutFlag(&flags, &bench_out);
-  COLSGD_CHECK_OK(flags.Parse(argc, argv));
+  flags.ParseOrExit(argc, argv);
   colsgd::bench::BenchRunner runner("ablation_optimizer", bench_out);
   runner.SetEnvInt("iterations", iterations);
   const colsgd::Dataset& d = colsgd::bench::GetDataset("kddb-sim");

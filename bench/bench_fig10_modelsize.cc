@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   flags.AddInt64("max_dim", &max_dim, "largest model dimension");
   flags.AddString("out_dir", &out_dir, "directory for CSV dumps");
   bench::AddBenchOutFlag(&flags, &bench_out);
-  COLSGD_CHECK_OK(flags.Parse(argc, argv));
+  flags.ParseOrExit(argc, argv);
   bench::BenchRunner runner("fig10_modelsize", bench_out);
   runner.SetEnvInt("iterations", iterations);
 

@@ -393,17 +393,14 @@ int main(int argc, char** argv) {
                  "iteration at which the failure fires, in [1, iterations)");
   flags.AddString("out_dir", &out_dir, "directory for CSV dumps");
   bench::AddBenchOutFlag(&flags, &bench_out);
-  Status st = flags.Parse(argc, argv);
   // Outside [1, iterations) the failure would never fire, or the trace
   // would print a loss before the failure that no iteration measured.
-  if (st.ok() && (fail_at < 1 || fail_at >= iterations)) {
-    st = Status::InvalidArgument("--fail_at must be in [1, --iterations)");
-  }
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    flags.PrintUsage(argv[0]);
-    return 2;
-  }
+  flags.ParseOrExit(argc, argv, [&] {
+    return fail_at >= 1 && fail_at < iterations
+               ? Status::OK()
+               : Status::InvalidArgument(
+                     "--fail_at must be in [1, --iterations)");
+  });
   bench::BenchRunner runner("fig13_faults", bench_out);
   runner.SetEnvInt("iterations", iterations);
   runner.SetEnvInt("fail_at", fail_at);

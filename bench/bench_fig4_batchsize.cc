@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
                  "largest batch size for the time sweep (paper: 10m)");
   flags.AddString("out_dir", &out_dir, "directory for CSV dumps");
   colsgd::bench::AddBenchOutFlag(&flags, &bench_out);
-  COLSGD_CHECK_OK(flags.Parse(argc, argv));
+  flags.ParseOrExit(argc, argv);
   colsgd::bench::BenchRunner runner("fig4_batchsize", bench_out);
   runner.SetEnvInt("iterations", iterations);
   runner.SetEnvInt("max_batch", max_batch);

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
                 "also run the block-size ablation");
   flags.AddString("out_dir", &out_dir, "directory for CSV dumps");
   bench::AddBenchOutFlag(&flags, &bench_out);
-  COLSGD_CHECK_OK(flags.Parse(argc, argv));
+  flags.ParseOrExit(argc, argv);
   bench::BenchRunner runner("fig7_loading", bench_out);
   runner.SetEnvInt("block_rows", block_rows);
 

@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   flags.AddInt64("iterations", &iterations, "SGD iterations per system");
   flags.AddString("out_dir", &out_dir, "directory for CSV dumps");
   colsgd::bench::AddBenchOutFlag(&flags, &bench_out);
-  COLSGD_CHECK_OK(flags.Parse(argc, argv));
+  flags.ParseOrExit(argc, argv);
   colsgd::bench::BenchRunner runner("fig8_convergence", bench_out);
   runner.SetEnvInt("iterations", iterations);
   for (const char* dataset : {"avazu-sim", "kddb-sim", "kdd12-sim"}) {

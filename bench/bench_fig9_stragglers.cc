@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   flags.AddInt64("iterations", &iterations, "iterations to average over");
   flags.AddString("out_dir", &out_dir, "directory for CSV dumps");
   bench::AddBenchOutFlag(&flags, &bench_out);
-  COLSGD_CHECK_OK(flags.Parse(argc, argv));
+  flags.ParseOrExit(argc, argv);
   bench::BenchRunner runner("fig9_stragglers", bench_out);
   runner.SetEnvInt("iterations", iterations);
 

@@ -173,7 +173,6 @@ int main(int argc, char** argv) {
   int64_t validate_scale = 1;
   int64_t attempts = 5;
   double tolerance = 0.10;
-  std::string out_dir = ".";  // accepted for runner uniformity (no CSVs)
   std::string bench_out = ".";
   flags.AddInt64("rows", &rows, "calibration batch rows");
   flags.AddInt64("features", &features, "calibration model dimension");
@@ -190,9 +189,8 @@ int main(int argc, char** argv) {
   flags.AddDouble("tolerance", &tolerance,
                   "allowed simulated-vs-measured relative error before "
                   "calib_flop_rate_err_excess goes positive");
-  flags.AddString("out_dir", &out_dir, "unused; kept for runner uniformity");
   colsgd::bench::AddBenchOutFlag(&flags, &bench_out);
-  COLSGD_CHECK_OK(flags.Parse(argc, argv));
+  flags.ParseOrExit(argc, argv);
 
   options.rows = static_cast<size_t>(rows);
   options.features = static_cast<size_t>(features);

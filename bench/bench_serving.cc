@@ -242,7 +242,7 @@ int Main(int argc, char** argv) {
   flags.AddInt64("query_features", &query_features, "query log dimension");
   flags.AddInt64("seed", &seed, "workload / planted-model seed");
   bench::AddBenchOutFlag(&flags, &bench_out);
-  COLSGD_CHECK_OK(flags.Parse(argc, argv));
+  flags.ParseOrExit(argc, argv);
 
   SyntheticSpec spec;
   spec.name = "queries";

@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
   flags.AddInt64("batch_size", &batch_size, "SGD batch size B");
   flags.AddString("out_dir", &out_dir, "unused; kept for runner uniformity");
   colsgd::bench::AddBenchOutFlag(&flags, &bench_out);
-  COLSGD_CHECK_OK(flags.Parse(argc, argv));
+  flags.ParseOrExit(argc, argv);
   colsgd::bench::BenchRunner runner("table1_costmodel", bench_out);
   runner.SetEnvInt("batch_size", batch_size);
   for (const char* dataset : {"avazu-sim", "kddb-sim", "kdd12-sim"}) {

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
                  "per-node memory budget (MB), scaled from 32 GB");
   flags.AddString("out_dir", &out_dir, "directory for CSV dumps");
   bench::AddBenchOutFlag(&flags, &bench_out);
-  COLSGD_CHECK_OK(flags.Parse(argc, argv));
+  flags.ParseOrExit(argc, argv);
   const uint64_t budget = static_cast<uint64_t>(memory_budget_mb) << 20;
   bench::BenchRunner runner("table5_periter_fm", bench_out);
   runner.SetEnvInt("iterations", iterations);

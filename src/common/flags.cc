@@ -145,4 +145,14 @@ Status FlagParser::Parse(int argc, char** argv) {
   return Status::OK();
 }
 
+void FlagParser::ParseOrExit(int argc, char** argv,
+                             const std::function<Status()>& validate) {
+  Status st = Parse(argc, argv);
+  if (st.ok() && validate) st = validate();
+  if (st.ok()) return;
+  std::fprintf(stderr, "%s\n", st.ToString().c_str());
+  PrintUsage(argv[0]);
+  std::exit(2);
+}
+
 }  // namespace colsgd

@@ -4,14 +4,16 @@
 //   FlagParser flags;
 //   int64_t n = 1000;
 //   flags.AddInt64("n", &n, "row count");
-//   COLSGD_CHECK_OK(flags.Parse(argc, argv));
+//   flags.ParseOrExit(argc, argv);
 //
 // Accepts --name=value and --name value (booleans: --name or --name=value);
-// --help prints usage and exits.
+// --help prints usage and exits. A program's main calls ParseOrExit, so a
+// bad flag prints the error and usage and exits with status 2.
 #ifndef COLSGD_COMMON_FLAGS_H_
 #define COLSGD_COMMON_FLAGS_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,6 +35,12 @@ class FlagParser {
   /// \brief Parses argv; unknown flags are an error. May call std::exit(0)
   /// for --help.
   Status Parse(int argc, char** argv);
+
+  /// \brief Parse() for a program's main. Runs `validate`, when given, on
+  /// the parsed values. If either fails, prints the error to stderr and the
+  /// usage, and exits with status 2.
+  void ParseOrExit(int argc, char** argv,
+                   const std::function<Status()>& validate = nullptr);
 
   /// \brief Prints registered flags with defaults and help text.
   void PrintUsage(const std::string& program) const;

@@ -47,17 +47,10 @@ int Run(int argc, char** argv) {
   flags.AddInt64("seed", &seed, "synthetic workload seed");
   flags.AddInt64("threads", &threads,
                  "threaded mode: pool worker threads (0: hardware default)");
-  Status st = flags.Parse(argc, argv);
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    flags.PrintUsage(argv[0]);
-    return 2;
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "--out is required\n");
-    flags.PrintUsage(argv[0]);
-    return 2;
-  }
+  flags.ParseOrExit(argc, argv, [&] {
+    return out.empty() ? Status::InvalidArgument("--out is required")
+                       : Status::OK();
+  });
   kernels::KernelMode mode;
   if (!kernels::ParseKernelMode(mode_name, &mode)) {
     std::fprintf(stderr, "--mode must be scalar|simd|threaded, got '%s'\n",

@@ -210,15 +210,10 @@ int Run(int argc, char** argv) {
   flags.AddString("bench_out", &bench_out,
                   "write a BENCH suite (suite 'critpath') here for "
                   "colsgd_report gating");
-  Status st = flags.Parse(argc, argv);
-  if (st.ok() && dag_path.empty()) {
-    st = Status::InvalidArgument("--dag is required");
-  }
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    flags.PrintUsage(argv[0]);
-    return 2;
-  }
+  flags.ParseOrExit(argc, argv, [&] {
+    return dag_path.empty() ? Status::InvalidArgument("--dag is required")
+                            : Status::OK();
+  });
 
   Result<CritDag> dag_result = ReadCritDagFile(dag_path);
   if (!dag_result.ok()) {
@@ -247,6 +242,7 @@ int Run(int argc, char** argv) {
   PrintBlame(dag, path);
   PrintTopSegments(dag, path, topk);
 
+  Status st;
   if (!what_if_spec.empty()) {
     WhatIf w;
     st = ParseWhatIf(what_if_spec, dag.num_nodes, &w);

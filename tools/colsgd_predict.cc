@@ -39,12 +39,11 @@ int Run(int argc, char** argv) {
   flags.AddInt64("shards", &shards, "column shards to score against");
   flags.AddString("partitioner", &partitioner, "column partitioner");
   flags.AddString("scores_csv", &scores_csv, "write per-row scores here");
-  Status st = flags.Parse(argc, argv);
-  if (!st.ok() || model_file.empty() || data_path.empty()) {
-    if (!st.ok()) std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    flags.PrintUsage(argv[0]);
-    return 2;
-  }
+  flags.ParseOrExit(argc, argv, [&] {
+    return model_file.empty() || data_path.empty()
+               ? Status::InvalidArgument("--model_file and --data are required")
+               : Status::OK();
+  });
 
   Result<SavedModel> saved = ReadModelFile(model_file);
   if (!saved.ok()) {

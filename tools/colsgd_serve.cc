@@ -278,12 +278,7 @@ int RunDriver(int argc, char** argv) {
                   "write the per-iteration phase CSV here (needs tracing)");
   flags.AddString("dag_out", &dag_out,
                   "write the causal critical-path DAG here");
-  COLSGD_CHECK_OK(flags.Parse(argc, argv));
-  if (Status known = CreateModel(model).status(); !known.ok()) {
-    std::fprintf(stderr, "%s\n", known.ToString().c_str());
-    flags.PrintUsage(argv[0]);
-    return 2;
-  }
+  flags.ParseOrExit(argc, argv, [&] { return CreateModel(model).status(); });
   serve.num_shards = static_cast<int>(shards);
   workload.seed = static_cast<uint64_t>(workload_seed);
 

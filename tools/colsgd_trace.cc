@@ -41,15 +41,10 @@ int Run(int argc, char** argv) {
   flags.AddString("phase_csv", &phase_csv,
                   "write per-iteration phase breakdown CSV here");
   flags.AddInt64("topk", &topk, "phases to print, most expensive first");
-  Status st = flags.Parse(argc, argv);
-  if (st.ok() && trace_path.empty()) {
-    st = Status::InvalidArgument("--trace is required");
-  }
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    flags.PrintUsage(argv[0]);
-    return 2;
-  }
+  flags.ParseOrExit(argc, argv, [&] {
+    return trace_path.empty() ? Status::InvalidArgument("--trace is required")
+                              : Status::OK();
+  });
 
   Result<ParsedTrace> parsed = ReadChromeTraceFile(trace_path);
   if (!parsed.ok()) {

@@ -266,13 +266,7 @@ int Run(int argc, char** argv) {
   flags.AddString("save_model", &save_model,
                   "write the trained model to this file (colsgd_predict "
                   "reads it)");
-  Status st = flags.Parse(argc, argv);
-  if (st.ok()) st = CreateModel(model).status();
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    flags.PrintUsage(argv[0]);
-    return 2;
-  }
+  flags.ParseOrExit(argc, argv, [&] { return CreateModel(model).status(); });
 
   Result<Dataset> data = LoadData(data_path, synthetic, zero_based);
   if (!data.ok()) {
