@@ -8,27 +8,52 @@ namespace {
 
 constexpr uint32_t kPolynomial = 0x82F63B78;  // reflected 0x1EDC6F41
 
-constexpr std::array<uint32_t, 256> MakeTable() {
-  std::array<uint32_t, 256> table{};
+using Table = std::array<uint32_t, 256>;
+
+// Slicing-by-8 tables: kTables[k][b] is the CRC register after byte b and
+// then k zero bytes, so one step folds eight bytes with eight lookups.
+// kTables[0] is the classic byte-at-a-time table.
+constexpr std::array<Table, 8> MakeTables() {
+  std::array<Table, 8> tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int k = 0; k < 8; ++k) {
       crc = (crc & 1) ? (crc >> 1) ^ kPolynomial : crc >> 1;
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (size_t k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFF];
+    }
+  }
+  return tables;
 }
 
-constexpr std::array<uint32_t, 256> kTable = MakeTable();
+constexpr std::array<Table, 8> kTables = MakeTables();
+
+// Four bytes as a little-endian word, whatever the host's byte order.
+inline uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 uint32_t ExtendCrc32c(uint32_t crc, const void* data, size_t n) {
   const auto* p = static_cast<const uint8_t*>(data);
   crc = ~crc;
-  for (size_t i = 0; i < n; ++i) {
-    crc = kTable[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = crc ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = kTables[7][lo & 0xFF] ^ kTables[6][(lo >> 8) & 0xFF] ^
+          kTables[5][(lo >> 16) & 0xFF] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xFF] ^ kTables[2][(hi >> 8) & 0xFF] ^
+          kTables[1][(hi >> 16) & 0xFF] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = kTables[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   }
   return ~crc;
 }

@@ -1,8 +1,9 @@
 // CRC32C (Castagnoli, polynomial 0x1EDC6F41) — the checksum every
-// data-plane frame and checkpoint file carries. Software table-driven
-// implementation; the checksum is part of the on-the-wire/on-disk format, so
-// it must be byte-stable across platforms (it is: the table is fixed and the
-// fold is endian-independent).
+// data-plane frame and checkpoint file carries. Software slicing-by-8
+// implementation (eight table lookups per eight bytes); the checksum is part
+// of the on-the-wire/on-disk format, so it must be byte-stable across
+// platforms (it is: the tables are fixed and words are assembled byte by
+// byte, so the fold is endian-independent).
 #ifndef COLSGD_COMMON_CRC32C_H_
 #define COLSGD_COMMON_CRC32C_H_
 
