@@ -51,12 +51,13 @@ BENCHMARK(BM_CsrRowAccess);
 
 void BM_GradAccumulate(benchmark::State& state) {
   const Dataset& d = BenchData();
-  GradAccumulator grad(d.num_features);
+  GradAccumulator grad(d.num_features, 1);
   size_t i = 0;
   for (auto _ : state) {
     const SparseVectorView row = d.rows.Row(i);
     for (size_t j = 0; j < row.nnz; ++j) {
-      grad.Add(row.indices[j], row.values[j]);
+      const double g = row.values[j];
+      grad.Add(row.indices[j], &g);
     }
     i = (i + 1) % d.num_rows();
     if (grad.touched().size() > 100000) grad.Reset();

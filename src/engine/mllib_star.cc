@@ -59,7 +59,8 @@ Status MllibStarEngine::Setup(const Dataset& dataset) {
         MakeOptimizer(config_.optimizer, config_.learning_rate));
     opt_states_.emplace_back(slots * optimizers_[k]->state_per_slot(), 0.0);
   }
-  grad_ = std::make_unique<GradAccumulator>(slots);
+  grad_ = std::make_unique<GradAccumulator>(slots, wpf);
+  terms_ = std::make_unique<GradTerms>(wpf);
   return Status::OK();
 }
 
@@ -162,11 +163,13 @@ Status MllibStarEngine::DoRunIteration(int64_t iteration) {
       }
       // Fused forward + gradient (kernel layer); the loss pass runs only on
       // the first local step, exactly as the unfused loop did.
-      terms_.Clear();
-      model_->RowBatchForwardGrad(batch, replicas_[w], &terms_,
+      terms_->Clear();
+      model_->RowBatchForwardGrad(batch, replicas_[w], terms_.get(),
                                   step == 0 ? row_losses.data() : nullptr,
                                   &flops);
-      for (const GradTerm& term : terms_) grad_->Add(term.slot, term.value);
+      for (size_t i = 0; i < terms_->size(); ++i) {
+        grad_->Add(terms_->first_slot(i), terms_->values(i));
+      }
       if (step == 0) {
         for (double loss : row_losses) loss_sum += loss;
         loss_count += local_batch;

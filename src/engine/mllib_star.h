@@ -51,7 +51,7 @@ class MllibStarEngine : public Engine {
   std::vector<std::vector<double>> opt_states_;
   std::vector<std::unique_ptr<Optimizer>> optimizers_;
   std::unique_ptr<GradAccumulator> grad_;  // shared scratch, reset per step
-  GradTerms terms_;                        // one local step's terms
+  std::unique_ptr<GradTerms> terms_;       // one local step's terms
   std::vector<std::vector<RowBlock>> partitions_;
   std::vector<uint64_t> partition_rows_;
 };

@@ -86,7 +86,7 @@ Status PsEngine::Setup(const Dataset& dataset) {
   weights_ = InitialWeights(*model_, num_features_, config_.seed);
   optimizer_ = MakeOptimizer(config_.optimizer, config_.learning_rate);
   opt_state_.assign(slots * optimizer_->state_per_slot(), 0.0);
-  steps_.assign(partitions_.size(), RowWorkerStep{});
+  steps_.assign(partitions_.size(), RowWorkerStep(wpf));
 
   if (config_.ssp.enabled) {
     const size_t ring = static_cast<size_t>(config_.ssp.slack) + 2;

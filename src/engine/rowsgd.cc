@@ -44,7 +44,7 @@ Status MllibEngine::Setup(const Dataset& dataset) {
   weights_ = InitialWeights(*model_, num_features_, config_.seed);
   optimizer_ = MakeOptimizer(config_.optimizer, config_.learning_rate);
   opt_state_.assign(slots * optimizer_->state_per_slot(), 0.0);
-  steps_.assign(partitions_.size(), RowWorkerStep{});
+  steps_.assign(partitions_.size(), RowWorkerStep(wpf));
 
   if (MasterMemoryBytes() > cluster_spec_.node_memory_budget) {
     return Status::OutOfMemory("MLlib master model does not fit: " +

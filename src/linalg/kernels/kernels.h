@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/check.h"
 #include "linalg/sparse.h"
 
 namespace colsgd {
@@ -106,31 +107,51 @@ void FmForwardRows(const SparseVectorView* rows, size_t n, int num_factors,
 
 // ---- Transpose (scatter-add / gradient) kernels --------------------------
 //
-// The column-major side of SpMV: grad += A^T * coeff. The target's Add gets
-// (slot, value) pairs in ascending (nnz, class) order in every mode. A
-// GradAccumulator sums them and keeps first-touch order, which is
-// observable; the row engines' GradTerms records them, and the engine later
-// replays them, in the same order, into one accumulator per server shard on
-// the shared pool (engine/row_step.h). So a kernel call is serial — one row's
-// contribution — and any parallelism lives in the callers above it.
+// The column-major side of SpMV: grad += A^T * coeff, handed to the target
+// one feature block at a time: acc->Add(first_slot, block) adds the block's
+// width() values to its consecutive slots, blocks in ascending nnz order in
+// every mode. A GradAccumulator sums them and keeps first-touch order, which
+// is observable; the row engines' GradTerms records them, and the engine
+// later replays them, in the same order, into one accumulator per server
+// shard on the shared pool (engine/row_step.h). So a kernel call is serial —
+// one row's contribution — and any parallelism lives in the callers above
+// it. A block adds its slots in the order the per-slot loop did, so the
+// block form keeps every slot's bits (DESIGN.md §18).
 
-/// \brief acc->Add(indices[j], coeff * values[j]) in ascending j order.
+/// \brief acc->Add(indices[j], {coeff * values[j]}) in ascending j order;
+/// `acc` keeps blocks of width 1.
 template <class Acc>
 inline void ScatterRow(const SparseVectorView& row, double coeff, Acc* acc) {
+  COLSGD_CHECK_EQ(acc->width(), 1);
   for (size_t j = 0; j < row.nnz; ++j) {
-    acc->Add(row.indices[j], coeff * static_cast<double>(row.values[j]));
+    const double g = coeff * static_cast<double>(row.values[j]);
+    acc->Add(row.indices[j], &g);
   }
 }
 
-/// \brief Multi-class scatter: acc->Add(indices[j]*C + c, coeffs[c] *
-/// values[j]) in ascending (j, c) order.
+/// \brief Multi-class scatter: for each j in ascending order, the block of
+/// feature indices[j] (slots indices[j]*C + c) gets coeffs[c] * values[j]
+/// for c = 0, ..., C - 1; `acc` keeps blocks of width C. `block` is C
+/// doubles of scratch.
 template <class Acc>
 inline void ScatterRowMulti(const SparseVectorView& row, const double* coeffs,
-                            int C, Acc* acc) {
+                            int C, double* block, Acc* acc) {
+  COLSGD_CHECK_EQ(acc->width(), C);
   for (size_t j = 0; j < row.nnz; ++j) {
     const double v = row.values[j];
-    const uint64_t base = static_cast<uint64_t>(row.indices[j]) * C;
-    for (int c = 0; c < C; ++c) acc->Add(base + c, coeffs[c] * v);
+    for (int c = 0; c < C; ++c) block[c] = coeffs[c] * v;
+    acc->Add(static_cast<uint64_t>(row.indices[j]) * C, block);
+  }
+}
+
+/// \brief Asks the cache for the lines holding p[0, n) ahead of their use.
+/// A prefetch changes no value, so it is bit-neutral.
+inline void Prefetch(const double* p, size_t n) {
+  constexpr uintptr_t kLine = 64;
+  const uintptr_t first = reinterpret_cast<uintptr_t>(p) & ~(kLine - 1);
+  const uintptr_t last = reinterpret_cast<uintptr_t>(p + n) - 1;
+  for (uintptr_t line = first; line <= last; line += kLine) {
+    __builtin_prefetch(reinterpret_cast<const void*>(line));
   }
 }
 

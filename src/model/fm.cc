@@ -53,6 +53,8 @@ void FactorizationMachine::AccumulateGradFromStats(
   const int F = num_factors_;
   const int wpf = 1 + F;
   COLSGD_CHECK_EQ(agg_stats.size(), batch.size() * static_cast<size_t>(wpf));
+  COLSGD_CHECK_EQ(grad->width(), wpf);
+  std::vector<double> block(wpf);
   uint64_t work = 0;
   for (size_t i = 0; i < batch.size(); ++i) {
     const double* stats = agg_stats.data() + i * wpf;
@@ -64,13 +66,14 @@ void FactorizationMachine::AccumulateGradFromStats(
       const uint64_t base = static_cast<uint64_t>(row.indices[j]) * wpf;
       const double* w = local_model.data() + base;
       // Equation 12: dL/dw_f = coeff * x_f.
-      grad->Add(base, coeff * x);
+      block[0] = coeff * x;
       // Equation 13: dL/dv_{f,c} = coeff * (x_f * stat_c - v_{f,c} x_f^2),
       // where stat_c = sum_j v_{j,c} x_j is the aggregated dot product.
       const double x2 = x * x;
       for (int c = 1; c <= F; ++c) {
-        grad->Add(base + c, coeff * (x * stats[c] - w[c] * x2));
+        block[c] = coeff * (x * stats[c] - w[c] * x2);
       }
+      grad->Add(base, block.data());
     }
     work += row.nnz * (3 + 5 * static_cast<uint64_t>(F));
   }
@@ -144,6 +147,8 @@ void FactorizationMachine::RowBatchForwardGrad(const BatchView& batch,
   kernels::FmForwardRows(batch.rows.data(), n, F, model.data(), stats.data());
   const uint64_t fwd_flops_per_nnz = 4 + 5 * static_cast<uint64_t>(F);
   const uint64_t grad_flops_per_nnz = 3 + 5 * static_cast<uint64_t>(F);
+  COLSGD_CHECK_EQ(terms->width(), wpf);
+  std::vector<double> block(wpf);
   uint64_t work = 0;
   for (size_t i = 0; i < n; ++i) {
     const double* s = stats.data() + i * wpf;
@@ -160,11 +165,12 @@ void FactorizationMachine::RowBatchForwardGrad(const BatchView& batch,
       const double x = row.values[j];
       const uint64_t base = static_cast<uint64_t>(row.indices[j]) * wpf;
       const double* w = model.data() + base;
-      terms->Add(base, coeff * x);
+      block[0] = coeff * x;
       const double x2 = x * x;
       for (int c = 1; c <= F; ++c) {
-        terms->Add(base + c, coeff * (x * s[c] - w[c] * x2));
+        block[c] = coeff * (x * s[c] - w[c] * x2);
       }
+      terms->Add(base, block.data());
     }
     work += row.nnz * grad_flops_per_nnz;
   }

@@ -104,8 +104,10 @@ void MlpModel::AccumulateGradFromStatsShared(
   double* db2 = shared_grad->data() + H;
   double* db1 = shared_grad->data() + H + 1;
 
+  COLSGD_CHECK_EQ(grad->width(), H);
   std::vector<double> activations;
   std::vector<double> delta_h(H);
+  std::vector<double> block(H);
   uint64_t work = 0;
   for (size_t i = 0; i < batch.size(); ++i) {
     const double* stats = agg_stats.data() + i * H;
@@ -122,10 +124,8 @@ void MlpModel::AccumulateGradFromStatsShared(
     const SparseVectorView& row = batch.rows[i];
     for (size_t j = 0; j < row.nnz; ++j) {
       const double x = row.values[j];
-      const uint64_t base = static_cast<uint64_t>(row.indices[j]) * H;
-      for (int h = 0; h < H; ++h) {
-        grad->Add(base + h, delta_h[h] * x);
-      }
+      for (int h = 0; h < H; ++h) block[h] = delta_h[h] * x;
+      grad->Add(static_cast<uint64_t>(row.indices[j]) * H, block.data());
     }
     work += (2 * row.nnz + 8) * H;
   }

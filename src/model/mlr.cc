@@ -58,13 +58,15 @@ void MultinomialLogisticRegression::AccumulateGradFromStats(
   const int C = num_classes_;
   COLSGD_CHECK_EQ(agg_stats.size(), batch.size() * static_cast<size_t>(C));
   std::vector<double> probs;
+  std::vector<double> block(C);
   uint64_t work = 0;
   for (size_t i = 0; i < batch.size(); ++i) {
     Softmax(agg_stats.data() + i * C, &probs);
     const int target = Target(batch.labels[i]);
     // Equation 8: grad_{w_c} = (softmax_c - t_c) * x.
     probs[target] -= 1.0;
-    kernels::ScatterRowMulti(batch.rows[i], probs.data(), C, grad);
+    kernels::ScatterRowMulti(batch.rows[i], probs.data(), C, block.data(),
+                             grad);
     work += (2 * batch.rows[i].nnz + 3) * C;
   }
   if (flops != nullptr) flops->Add(work);
@@ -94,7 +96,8 @@ void MultinomialLogisticRegression::AccumulateRowGradient(
   std::vector<double> probs;
   Softmax(scores.data(), &probs);
   probs[Target(label)] -= 1.0;
-  kernels::ScatterRowMulti(row, probs.data(), C, grad);
+  std::vector<double> block(C);
+  kernels::ScatterRowMulti(row, probs.data(), C, block.data(), grad);
   if (flops != nullptr) flops->Add(4 * row.nnz * C);
 }
 
@@ -121,6 +124,7 @@ void MultinomialLogisticRegression::RowBatchForwardGrad(
   std::vector<double> scores(n * static_cast<size_t>(C), 0.0);
   kernels::SpmvRowsMulti(batch.rows.data(), n, C, model.data(), scores.data());
   std::vector<double> probs;
+  std::vector<double> block(C);
   uint64_t work = 0;
   for (size_t i = 0; i < n; ++i) {
     Softmax(scores.data() + i * C, &probs);
@@ -130,7 +134,8 @@ void MultinomialLogisticRegression::RowBatchForwardGrad(
       work += 2 * batch.rows[i].nnz * C;
     }
     probs[target] -= 1.0;
-    kernels::ScatterRowMulti(batch.rows[i], probs.data(), C, terms);
+    kernels::ScatterRowMulti(batch.rows[i], probs.data(), C, block.data(),
+                             terms);
     work += 4 * batch.rows[i].nnz * C;
   }
   if (flops != nullptr) flops->Add(work);

@@ -66,7 +66,7 @@ std::vector<double> SequentialReference(const Dataset& d,
   auto optimizer = MakeOptimizer(config.optimizer, config.learning_rate);
   std::vector<double> opt_state(weights.size() * optimizer->state_per_slot(),
                                 0.0);
-  GradAccumulator grad(weights.size());
+  GradAccumulator grad(weights.size(), wpf);
 
   std::vector<RowBlock> blocks = MakeRowBlocks(d, config.block_rows);
   BlockDirectory directory = MakeDirectory(blocks);
@@ -194,8 +194,9 @@ struct SerialRowRun {
 
 /// The serial schedule: block i belongs to worker i % K; worker w draws its
 /// share of the batch with WorkerIterationRng; each worker's
-/// RowBatchForwardGrad terms go into one GradAccumulator in worker order;
-/// one ApplySparseUpdate closes the iteration.
+/// RowBatchForwardGrad terms go, slot by slot, into one per-slot (width 1)
+/// GradAccumulator in worker order; one ApplySparseUpdate closes the
+/// iteration.
 SerialRowRun SerialRowSchedule(const Dataset& d, const TrainConfig& config,
                                int workers, int iterations) {
   auto model = MakeModel(config.model);
@@ -210,7 +211,7 @@ SerialRowRun SerialRowSchedule(const Dataset& d, const TrainConfig& config,
   auto optimizer = MakeOptimizer(config.optimizer, config.learning_rate);
   std::vector<double> opt_state(
       run.weights.size() * optimizer->state_per_slot(), 0.0);
-  GradAccumulator grad(run.weights.size());
+  GradAccumulator grad(run.weights.size(), 1);
 
   const std::vector<RowBlock> blocks = MakeRowBlocks(d, config.block_rows);
   std::vector<std::vector<RowBlock>> partitions(workers);
@@ -235,11 +236,15 @@ SerialRowRun SerialRowSchedule(const Dataset& d, const TrainConfig& config,
         batch.rows.push_back(sample.row);
         batch.labels.push_back(sample.label);
       }
-      GradTerms terms;
+      GradTerms terms(wpf);
       std::vector<double> row_losses(local_batch);
       model->RowBatchForwardGrad(batch, run.weights, &terms,
                                  row_losses.data(), nullptr);
-      for (const GradTerm& term : terms) grad.Add(term.slot, term.value);
+      for (size_t i = 0; i < terms.size(); ++i) {
+        for (int j = 0; j < wpf; ++j) {
+          grad.Add(terms.first_slot(i) + j, terms.values(i) + j);
+        }
+      }
       for (double loss : row_losses) loss_sum += loss;
       batch_total += local_batch;
     }

@@ -226,8 +226,14 @@ TEST(KernelEquivalenceTest, ScatterRowPreservesTouchOrder) {
   // GradAccumulator's observable state includes first-touch order, so the
   // scatter must visit indices in ascending nnz order in every mode.
   struct OrderLoggingAcc {
+    int block_width = 1;
     std::vector<std::pair<uint64_t, double>> touches;
-    void Add(uint64_t slot, double value) { touches.emplace_back(slot, value); }
+    int width() const { return block_width; }
+    void Add(uint64_t first_slot, const double* g) {
+      for (int j = 0; j < block_width; ++j) {
+        touches.emplace_back(first_slot + j, g[j]);
+      }
+    }
   };
   const uint32_t idx[] = {7, 3, 9, 3};  // duplicates stay in appearance order
   const float val[] = {1.0f, 2.0f, 3.0f, 4.0f};
@@ -243,8 +249,9 @@ TEST(KernelEquivalenceTest, ScatterRowPreservesTouchOrder) {
     kernels::ScatterRow(row, 0.5, &acc);
     EXPECT_EQ(acc.touches, reference.touches);
     const double coeffs[] = {0.5, -1.5};
-    OrderLoggingAcc multi;
-    kernels::ScatterRowMulti(row, coeffs, 2, &multi);
+    double block[2];
+    OrderLoggingAcc multi{2, {}};
+    kernels::ScatterRowMulti(row, coeffs, 2, block, &multi);
     ASSERT_EQ(multi.touches.size(), 8u);
     EXPECT_EQ(multi.touches[0].first, 14u);  // idx 7 * C + class 0
     EXPECT_EQ(multi.touches[1].first, 15u);

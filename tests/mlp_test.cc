@@ -87,7 +87,7 @@ TEST(MlpTest, FiniteDifferenceInputLayerGradient) {
 
   std::vector<double> stats(tc.labels.size() * kHidden, 0.0);
   mlp.ComputePartialStats(view, tc.weights, &stats, nullptr);
-  GradAccumulator grad(tc.weights.size());
+  GradAccumulator grad(tc.weights.size(), kHidden);
   std::vector<double> shared_grad(mlp.num_shared_params(), 0.0);
   mlp.AccumulateGradFromStatsShared(view, stats, tc.weights, tc.shared, &grad,
                                     &shared_grad, nullptr);
@@ -113,7 +113,7 @@ TEST(MlpTest, FiniteDifferenceSharedLayerGradient) {
 
   std::vector<double> stats(tc.labels.size() * kHidden, 0.0);
   mlp.ComputePartialStats(view, tc.weights, &stats, nullptr);
-  GradAccumulator grad(tc.weights.size());
+  GradAccumulator grad(tc.weights.size(), kHidden);
   std::vector<double> shared_grad(mlp.num_shared_params(), 0.0);
   mlp.AccumulateGradFromStatsShared(view, stats, tc.weights, tc.shared, &grad,
                                     &shared_grad, nullptr);
@@ -181,7 +181,7 @@ TEST(MlpTest, StatsAreAdditiveAcrossColumnPartitions) {
 TEST(MlpTest, RowPathIsUnsupported) {
   MlpModel mlp(kHidden);
   TestCase tc = MakeCase(mlp, 1, 19);
-  GradAccumulator grad(tc.weights.size());
+  GradAccumulator grad(tc.weights.size(), kHidden);
   EXPECT_DEATH(mlp.AccumulateRowGradient(tc.rows.Row(0), 1.0f, tc.weights,
                                          &grad, nullptr),
                "column framework");
