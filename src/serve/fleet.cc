@@ -140,6 +140,10 @@ Status ServeFleet::Install(const SavedModel& model,
     return Status::InvalidArgument(
         "query rows reference features beyond the model's dimension");
   }
+  COLSGD_RETURN_NOT_OK(CreatePartitioner(config_.serve.partitioner,
+                                         model.num_features,
+                                         config_.serve.num_shards)
+                           .status());
   // Bring-up: ship the sealed image from the router to every group's
   // frontend, then each group shards and installs it (generation 0).
   const std::vector<uint8_t> image = SerializeModel(model);

@@ -67,10 +67,13 @@ Status ShardGroup::Install(const SavedModel& model,
     return Status::InvalidArgument(
         "query rows reference features beyond the model's dimension");
   }
+  COLSGD_ASSIGN_OR_RETURN(std::unique_ptr<ColumnPartitioner> partitioner,
+                          CreatePartitioner(config_.partitioner,
+                                            model.num_features,
+                                            config_.num_shards));
   spec_ = std::move(spec);
   model_name_ = model.model_name;
-  partitioner_ = MakePartitioner(config_.partitioner, model.num_features,
-                                 config_.num_shards);
+  partitioner_ = std::move(partitioner);
 
   GenerationInfo info;
   info.trained_iterations = trained_iterations;

@@ -141,8 +141,9 @@ Result<DatasetScores> ScoreDatasetSharded(const SavedModel& model,
                                    model.model_name);
   }
 
-  std::unique_ptr<ColumnPartitioner> partitioner =
-      MakePartitioner(partitioner_name, model.num_features, num_shards);
+  COLSGD_ASSIGN_OR_RETURN(
+      std::unique_ptr<ColumnPartitioner> partitioner,
+      CreatePartitioner(partitioner_name, model.num_features, num_shards));
   const ShardedModelImage image = ShardSavedModel(model, *spec, *partitioner);
 
   DatasetScores out;

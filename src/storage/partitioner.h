@@ -12,6 +12,7 @@
 #include <string>
 
 #include "common/check.h"
+#include "common/result.h"
 
 namespace colsgd {
 
@@ -123,7 +124,10 @@ class BlockCyclicPartitioner : public ColumnPartitioner {
   }
   uint64_t LocalDim(int worker) const override {
     // Count features f < num_features_ with Owner(f) == worker.
-    const uint64_t num_chunks = (num_features_ + chunk_ - 1) / chunk_;
+    // Not (num_features_ + chunk_ - 1) / chunk_, which wraps for a chunk
+    // near 2^64.
+    const uint64_t num_chunks =
+        num_features_ / chunk_ + (num_features_ % chunk_ != 0 ? 1 : 0);
     const uint64_t w = static_cast<uint64_t>(worker);
     if (num_chunks == 0) return 0;
     // Full cycles of K chunks, plus this worker's chunk in the tail cycle.
@@ -150,7 +154,14 @@ class BlockCyclicPartitioner : public ColumnPartitioner {
   uint64_t chunk_;
 };
 
-/// \brief Factory by name ("round_robin", "range", "block_cyclic_<chunk>").
+/// \brief Factory by name: "round_robin", "range" or "block_cyclic_<chunk>",
+/// with <chunk> a positive decimal that fits in 64 bits. Any other name is
+/// an InvalidArgument.
+Result<std::unique_ptr<ColumnPartitioner>> CreatePartitioner(
+    const std::string& name, uint64_t num_features, int num_workers);
+
+/// \brief CreatePartitioner for names known to be valid; CHECK-fails on
+/// others.
 std::unique_ptr<ColumnPartitioner> MakePartitioner(const std::string& name,
                                                    uint64_t num_features,
                                                    int num_workers);

@@ -235,6 +235,16 @@ TEST(RowEngineGuardTest, ColumnOnlyModelsAreRejected) {
   EXPECT_TRUE(column.Setup(d).ok());
 }
 
+TEST(ColumnSgdGuardTest, UnknownPartitionerIsRejected) {
+  Dataset d = TestData();
+  TrainConfig config = Config();
+  for (const char* name : {"bogus", "block_cyclic_x", "block_cyclic_0"}) {
+    config.partitioner = name;
+    ColumnSgdEngine column(Cluster(), config);
+    EXPECT_TRUE(column.Setup(d).IsInvalidArgument()) << name;
+  }
+}
+
 TEST(EngineFactoryTest, BuildsAllEngines) {
   for (const std::string name :
        {"columnsgd", "mllib", "mllib_star", "petuum", "mxnet"}) {

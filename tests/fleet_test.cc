@@ -119,6 +119,24 @@ TEST(FleetTest, InstallRejectsUnknownModelName) {
   EXPECT_EQ(scored.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(FleetTest, InstallRejectsUnknownPartitionerName) {
+  const Dataset queries = FleetQueries();
+  const SavedModel model = Planted("lr", queries.num_features, 5);
+  for (int replicas : {1, 2}) {
+    FleetConfig config;
+    config.replicas = replicas;
+    config.serve.num_shards = 4;
+    config.serve.partitioner = "block_cyclic_0";
+    ServeFleet fleet(ClusterSpec::Cluster1(), config, &queries);
+    const Status st = fleet.Install(model);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << "R=" << replicas << ": " << st.ToString();
+  }
+  Result<DatasetScores> scored =
+      ScoreDatasetSharded(model, "bogus", 4, queries, queries.num_rows());
+  EXPECT_EQ(scored.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(FleetTest, DoubleRunsAreBitIdenticalAcrossReplicaCounts) {
   const Dataset queries = FleetQueries();
   const SavedModel model = Planted("lr", queries.num_features, 5);

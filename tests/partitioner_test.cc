@@ -86,6 +86,28 @@ TEST(PartitionerTest, FactoryRejectsUnknownName) {
   EXPECT_DEATH(MakePartitioner("bogus", 10, 2), "unknown partitioner");
 }
 
+TEST(PartitionerTest, CreateRefusesBadNamesWithoutDying) {
+  for (const char* name :
+       {"bogus", "", "Range", "block_cyclic_", "block_cyclic_0",
+        "block_cyclic_x", "block_cyclic_3x", "block_cyclic_-1",
+        "block_cyclic_+3", "block_cyclic_ 3",
+        "block_cyclic_18446744073709551616",
+        "block_cyclic_99999999999999999999999"}) {
+    Result<std::unique_ptr<ColumnPartitioner>> partitioner =
+        CreatePartitioner(name, 10, 2);
+    ASSERT_FALSE(partitioner.ok()) << name;
+    EXPECT_TRUE(partitioner.status().IsInvalidArgument()) << name;
+  }
+  // The largest chunk is a valid name: all ten features fall in worker 0's
+  // first chunk.
+  Result<std::unique_ptr<ColumnPartitioner>> widest =
+      CreatePartitioner("block_cyclic_18446744073709551615", 10, 2);
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ((*widest)->LocalDim(0), 10u);
+  EXPECT_EQ((*widest)->LocalDim(1), 0u);
+  EXPECT_EQ((*widest)->GlobalIndex(0, 9), 9u);
+}
+
 TEST(PartitionerTest, FactoryNamesRoundTrip) {
   EXPECT_EQ(MakePartitioner("round_robin", 10, 2)->name(), "round_robin");
   EXPECT_EQ(MakePartitioner("range", 10, 2)->name(), "range");

@@ -42,7 +42,7 @@ int Run(int argc, char** argv) {
   flags.ParseOrExit(argc, argv, [&] {
     return model_file.empty() || data_path.empty()
                ? Status::InvalidArgument("--model_file and --data are required")
-               : Status::OK();
+               : CreatePartitioner(partitioner, 1, 1).status();
   });
 
   Result<SavedModel> saved = ReadModelFile(model_file);

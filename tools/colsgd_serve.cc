@@ -278,7 +278,10 @@ int RunDriver(int argc, char** argv) {
                   "write the per-iteration phase CSV here (needs tracing)");
   flags.AddString("dag_out", &dag_out,
                   "write the causal critical-path DAG here");
-  flags.ParseOrExit(argc, argv, [&] { return CreateModel(model).status(); });
+  flags.ParseOrExit(argc, argv, [&]() -> Status {
+    COLSGD_RETURN_NOT_OK(CreateModel(model).status());
+    return CreatePartitioner(serve.partitioner, 1, 1).status();
+  });
   serve.num_shards = static_cast<int>(shards);
   workload.seed = static_cast<uint64_t>(workload_seed);
 
