@@ -1,6 +1,7 @@
 #include "model/model_spec.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "linalg/kernels/thread_pool.h"
 #include "storage/partitioner.h"
@@ -32,6 +33,20 @@ std::vector<double> FillInitialWeights(const ModelSpec& model, uint64_t dim,
 }
 
 }  // namespace
+
+GradAccumulator::GradAccumulator(uint64_t num_slots, int width)
+    : num_slots_(num_slots),
+      width_(static_cast<uint64_t>(width)),
+      table_(size_t{1} << kMinTableBits) {
+  COLSGD_CHECK_GE(width, 1);
+  num_blocks_ = num_slots_ / width_;
+  odd_shift_ = std::countr_zero(width_);
+  // Newton's iteration for the inverse modulo 2^64: an odd number is its own
+  // inverse modulo 8, and each step doubles the correct low bits.
+  const uint64_t odd = width_ >> odd_shift_;
+  odd_inverse_ = odd;
+  for (int i = 0; i < 5; ++i) odd_inverse_ *= 2 - odd * odd_inverse_;
+}
 
 void GradAccumulator::Reset() {
   touched_.clear();
