@@ -41,10 +41,10 @@ const CiCommand kCiCommands[] = {
       "--artifact", "chaos_repro.json"},
      "chaos(train): 160 schedule(s), 0 failure(s)"},
     {{"--scenario", "membership", "--seeds", "0..15", "--engines",
-      "columnsgd,petuum", "--iterations", "12", "--workers", "4",
+      "columnsgd,petuum,mxnet", "--iterations", "12", "--workers", "4",
       "--data_rows", "800", "--data_features", "150", "--artifact",
       "membership_repro.json"},
-     "chaos(membership): 32 schedule(s), 0 failure(s)"},
+     "chaos(membership): 48 schedule(s), 0 failure(s)"},
     {{"--scenario", "ssp", "--seeds", "0..15", "--engines", "all",
       "--iterations", "12", "--workers", "4", "--data_rows", "800",
       "--data_features", "150", "--artifact", "ssp_repro.json"},
@@ -87,7 +87,7 @@ TEST(ChaosGoldenTest, CiSchedulesMatchCheckedInFingerprints) {
   }
   const std::vector<std::string> golden =
       SplitLines(ReadFileOrEmpty(kGoldenPath));
-  ASSERT_EQ(golden.size(), 272u)
+  ASSERT_EQ(golden.size(), 288u)
       << "missing or truncated golden file " << kGoldenPath
       << "; run with COLSGD_REGEN_GOLDEN=1 to create it";
   const std::vector<std::string> got = SplitLines(lines);
