@@ -336,13 +336,6 @@ class Engine {
   /// the change moved.
   Status ProcessMembership(int64_t iteration);
 
-  /// \brief Whether this run should use the elastic (block-store-backed)
-  /// path: explicitly enabled, or the fault plan scripts membership events.
-  /// Engines read this in Setup (set_faults precedes Setup in every driver).
-  bool ElasticRequested() const {
-    return config_.elastic.enabled || faults_.plan.has_membership();
-  }
-
   /// \brief Takes a periodic checkpoint of the full model via model_io,
   /// charging gather traffic and the stable-storage write.
   Status MaybeCheckpoint(int64_t iteration);

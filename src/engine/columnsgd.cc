@@ -18,7 +18,8 @@ constexpr uint64_t kSampleFlops = 32;
 ColumnSgdEngine::ColumnSgdEngine(const ClusterSpec& cluster_spec,
                                  const TrainConfig& config,
                                  ColumnSgdOptions options)
-    : Engine(cluster_spec, config), options_(std::move(options)) {
+    : ElasticEngine(cluster_spec, config, /*blocks_per_partition=*/2),
+      options_(std::move(options)) {
   const int replicas = options_.backup + 1;
   COLSGD_CHECK_GE(options_.backup, 0);
   COLSGD_CHECK_EQ(cluster_spec.num_workers % replicas, 0)
@@ -65,44 +66,15 @@ Status ColumnSgdEngine::Setup(const Dataset& dataset) {
   // Row-to-column transform with replication (Algorithm 4 + Section IV-B).
   // Elastic runs replicate along the block store's permuted placement
   // instead of backup groups: partition g's shards land on its r+1 holders.
-  elastic_ = ElasticRequested();
+  if (ElasticRequested() && options_.backup != 0) {
+    return Status::InvalidArgument(
+        "elastic membership requires backup == 0: logical partitions are "
+        "pinned to the initial workers, backup groups re-tile them");
+  }
+  COLSGD_RETURN_NOT_OK(SetupElastic());
   std::vector<std::vector<int>> replicas(num_groups_);
-  if (elastic_) {
-    if (options_.backup != 0) {
-      return Status::InvalidArgument(
-          "elastic membership requires backup == 0: logical partitions are "
-          "pinned to the initial workers, backup groups re-tile them");
-    }
-    const int initial = cluster_spec_.num_workers;
-    if (config_.elastic.replication >= initial) {
-      return Status::InvalidArgument(
-          "replication " + std::to_string(config_.elastic.replication) +
-          " needs more than " + std::to_string(initial) + " initial workers");
-    }
-    membership_ = MembershipView(initial, runtime_->total_workers());
-    BlockStoreConfig store_config;
-    store_config.num_ranks = initial;
-    store_config.replication = config_.elastic.replication;
-    store_config.seed = config_.elastic.placement_seed;
-    store_config.blocks_per_permutation_range =
-        config_.elastic.blocks_per_permutation_range;
-    block_store_ = BlockStore(store_config);
-    for (int g = 0; g < num_groups_; ++g) {
-      replicas[g] = block_store_.placement().HoldersWithPrimary(
-          DataBlockId(g), /*primary=*/g);
-    }
-    // Spare ranks start decommissioned: fault events targeting them are
-    // skipped until a grow activates them.
-    for (int w = initial; w < runtime_->total_workers(); ++w) {
-      detector_.MarkDeparted(w);
-    }
-  } else {
-    const int replicas_per_group = options_.backup + 1;
-    for (int g = 0; g < num_groups_; ++g) {
-      for (int r = 0; r < replicas_per_group; ++r) {
-        replicas[g].push_back(g * replicas_per_group + r);
-      }
-    }
+  for (int g = 0; g < num_groups_; ++g) {
+    replicas[g] = elastic_ ? InitialHolders(g) : GroupComputeMembers(g);
   }
   ColumnLoadResult load = BlockColumnLoadReplicated(
       blocks_, *partitioner_, replicas, runtime_.get(),
@@ -147,13 +119,6 @@ Status ColumnSgdEngine::Setup(const Dataset& dataset) {
   return Status::OK();
 }
 
-std::vector<int> ColumnSgdEngine::ActiveWorkers() const {
-  if (elastic_) return membership_.active();
-  std::vector<int> workers(runtime_->num_workers());
-  for (int w = 0; w < runtime_->num_workers(); ++w) workers[w] = w;
-  return workers;
-}
-
 std::vector<int> ColumnSgdEngine::GroupComputeMembers(int g) const {
   if (elastic_) return {PartitionOwner(g)};
   std::vector<int> members;
@@ -166,13 +131,7 @@ std::vector<int> ColumnSgdEngine::GroupComputeMembers(int g) const {
 
 std::vector<int> ColumnSgdEngine::GroupUpdateMembers(int g) const {
   if (!elastic_) return GroupComputeMembers(g);
-  return block_store_.Holders(DataBlockId(g));
-}
-
-int ColumnSgdEngine::PartitionOwner(int g) const {
-  const std::vector<int>& holders = block_store_.Holders(DataBlockId(g));
-  COLSGD_CHECK(!holders.empty()) << "partition " << g << " has no holder";
-  return holders.front();
+  return PartitionHolders(g);
 }
 
 uint64_t ColumnSgdEngine::WorkerMemoryBytes(int worker) const {
@@ -184,10 +143,7 @@ uint64_t ColumnSgdEngine::WorkerMemoryBytes(int worker) const {
     // replica, not a cold image).
     uint64_t total = stats_bytes;
     for (int g = 0; g < num_groups_; ++g) {
-      const std::vector<int>& holders = block_store_.Holders(DataBlockId(g));
-      bool holds = false;
-      for (int h : holders) holds |= h == worker;
-      if (!holds) continue;
+      if (!Holds(g, worker)) continue;
       const GroupState& state = groups_[g];
       // The gradient scratch is charged as a dense buffer, as below.
       total += state.store.MemoryBytes() +
@@ -236,165 +192,59 @@ std::vector<uint8_t> ColumnSgdEngine::SerializePartitionData(int g) const {
   return payload;
 }
 
-void ColumnSgdEngine::RefreshModelBlock(int g) {
+std::vector<uint8_t> ColumnSgdEngine::SerializeModelSlice(int g) const {
   ModelSliceBlock slice;
   slice.partition = g;
   slice.weights = groups_[g].weights;
   slice.opt_state = groups_[g].opt_state;
-  block_store_.Refresh(ModelBlockId(g), slice.Serialize());
+  return slice.Serialize();
+}
+
+void ColumnSgdEngine::ResealPartition(int g) {
+  block_store_.Refresh(BlockId(g, 1), SerializeModelSlice(g));
 }
 
 void ColumnSgdEngine::SeedPartitionBlocks(int g,
                                           const std::vector<int>& holders) {
-  block_store_.Put(DataBlockId(g), SerializePartitionData(g), holders);
-  ModelSliceBlock slice;
-  slice.partition = g;
-  slice.weights = groups_[g].weights;
-  slice.opt_state = groups_[g].opt_state;
-  block_store_.Put(ModelBlockId(g), slice.Serialize(), holders);
+  block_store_.Put(BlockId(g, 0), SerializePartitionData(g), holders);
+  block_store_.Put(BlockId(g, 1), SerializeModelSlice(g), holders);
 }
 
-void ColumnSgdEngine::PartitionAddHolder(int g, int rank, bool as_primary) {
-  block_store_.AddHolder(DataBlockId(g), rank, as_primary);
-  block_store_.AddHolder(ModelBlockId(g), rank, as_primary);
-}
-
-void ColumnSgdEngine::PartitionRemoveHolder(int g, int rank) {
-  block_store_.RemoveHolder(DataBlockId(g), rank);
-  block_store_.RemoveHolder(ModelBlockId(g), rank);
-}
-
-void ColumnSgdEngine::PartitionMakePrimary(int g, int rank) {
-  block_store_.MakePrimary(DataBlockId(g), rank);
-  block_store_.MakePrimary(ModelBlockId(g), rank);
-}
-
-int ColumnSgdEngine::LeastLoadedTarget(int g, int exclude) const {
-  std::vector<int> load(runtime_->total_workers(), 0);
-  for (int p = 0; p < num_groups_; ++p) {
-    for (int h : block_store_.Holders(DataBlockId(p))) ++load[h];
+bool ColumnSgdEngine::RestoreGroupModel(int g, NodeId node,
+                                        int64_t iteration) {
+  GroupState& state = groups_[g];
+  InitGroupModel(g, &state);
+  const SavedModel* checkpoint = LatestCheckpoint();
+  if (checkpoint == nullptr) {
+    recovery_.iterations_lost += iteration;
+    return false;
   }
-  const std::vector<int>& holders = block_store_.Holders(DataBlockId(g));
-  int best = -1;
-  for (int rank : membership_.active()) {
-    if (rank == exclude) continue;
-    bool holds = false;
-    for (int h : holders) holds |= h == rank;
-    if (holds) continue;
-    if (best < 0 || load[rank] < load[best]) best = rank;
-  }
-  return best;
-}
-
-uint64_t ColumnSgdEngine::ReplicatePartition(int g, int from, int to,
-                                             bool as_primary,
-                                             int64_t iteration) {
-  const uint64_t bytes = block_store_.ImageSize(DataBlockId(g)) +
-                         block_store_.ImageSize(ModelBlockId(g));
-  // The copy rides the faulty data plane: the recovery/rebalance transfer
-  // itself can be dropped, corrupted, or cut off by a partition.
-  SendWithFaults(runtime_->worker_node(from), runtime_->worker_node(to),
-                 bytes, iteration);
-  runtime_->ChargeMemTouch(runtime_->worker_node(to), bytes);
-  PartitionAddHolder(g, to, as_primary);
-  return bytes;
-}
-
-uint64_t ColumnSgdEngine::RestoreReplication(int g, int64_t iteration) {
-  const int needed = std::min(block_store_.config().replication + 1,
-                              membership_.num_active());
-  uint64_t bytes = 0;
-  bool refreshed = false;
-  while (static_cast<int>(block_store_.Holders(DataBlockId(g)).size()) <
-         needed) {
-    const int target = LeastLoadedTarget(g, -1);
-    if (target < 0) break;
-    if (!refreshed) {
-      RefreshModelBlock(g);
-      refreshed = true;
+  const int wpf = model_->weights_per_feature();
+  for (uint64_t lf = 0; lf < state.local_dim; ++lf) {
+    const uint64_t feature = partitioner_->GlobalIndex(g, lf);
+    for (int j = 0; j < wpf; ++j) {
+      state.weights[lf * wpf + j] = checkpoint->weights[feature * wpf + j];
     }
-    bytes += ReplicatePartition(g, PartitionOwner(g), target,
-                                /*as_primary=*/false, iteration);
   }
-  return bytes;
+  // The master reads the partition from stable storage and ships it.
+  const uint64_t partition_bytes = state.weights.size() * sizeof(double);
+  ChargeCheckpointRead(runtime_->master(), partition_bytes);
+  SendWithFaults(runtime_->master(), node, partition_bytes, iteration);
+  recovery_.iterations_lost += iteration - checkpoints_.completed_iterations();
+  return true;
 }
 
-void ColumnSgdEngine::RebuildPartition(int g, int64_t iteration) {
-  // Drop any leftover (damaged) copies before reseating the partition.
-  const std::vector<int> stale = block_store_.Holders(DataBlockId(g));
-  for (int rank : stale) PartitionRemoveHolder(g, rank);
-  const int dest = LeastLoadedTarget(g, -1);
-  COLSGD_CHECK_GE(dest, 0) << "no active rank to rebuild partition " << g;
-  const NodeId dest_node = runtime_->worker_node(dest);
-
+void ColumnSgdEngine::RebuildOnto(int g, int dest, int64_t iteration) {
   GroupState& state = groups_[g];
   state.store.Clear();
   state.store =
       ReloadPartitionShards(blocks_, *partitioner_, g, dest,
                             membership_.active(), runtime_.get(),
                             config_.transform_cost);
-  InitGroupModel(g, &state);
-  const SavedModel* checkpoint = LatestCheckpoint();
-  if (checkpoint != nullptr) {
-    const int wpf = model_->weights_per_feature();
-    for (uint64_t lf = 0; lf < state.local_dim; ++lf) {
-      const uint64_t feature = partitioner_->GlobalIndex(g, lf);
-      for (int j = 0; j < wpf; ++j) {
-        state.weights[lf * wpf + j] = checkpoint->weights[feature * wpf + j];
-      }
-    }
-    const uint64_t partition_bytes = state.weights.size() * sizeof(double);
-    ChargeCheckpointRead(runtime_->master(), partition_bytes);
-    SendWithFaults(runtime_->master(), dest_node, partition_bytes, iteration);
-    recovery_.iterations_lost +=
-        iteration - checkpoints_.completed_iterations();
-  } else {
+  if (!RestoreGroupModel(g, runtime_->worker_node(dest), iteration)) {
     ++recovery_.reseeds;
-    recovery_.iterations_lost += iteration;
   }
   SeedPartitionBlocks(g, {dest});
-  RestoreReplication(g, iteration);
-}
-
-void ColumnSgdEngine::RecoverElasticCrash(const FaultEvent& event) {
-  const int w = event.worker;
-  const std::vector<uint64_t> held = block_store_.BlocksHeldBy(w);
-  // Crash removal: the rank leaves the active set (unless it is the last
-  // one, in which case it restarts in place as a fresh replacement node).
-  if (membership_.num_active() > 1) {
-    const Status removed = membership_.Remove(w);
-    COLSGD_CHECK(removed.ok()) << removed.ToString();
-    detector_.MarkDeparted(w);
-    ++recovery_.crash_removals;
-  }
-  block_store_.DropRank(w);
-  for (uint64_t id : held) {
-    if (id >= kModelBlockBase) continue;  // handled with its data block
-    const int g = static_cast<int>(id);
-    if (block_store_.Holders(DataBlockId(g)).empty()) {
-      // No surviving copy (r = 0, or every holder already gone): the full
-      // ladder — rebuild from row blocks, checkpoint restore or re-seed.
-      RebuildPartition(g, event.iteration);
-      continue;
-    }
-    // Peer-replica path: CRC-verify a surviving copy; damaged copies are
-    // rejected and the fetch falls through to the next holder.
-    const Result<BlockFetch> fetch = block_store_.Fetch(DataBlockId(g));
-    if (!fetch.ok()) {
-      // Every surviving copy is damaged: down the ladder.
-      recovery_.replica_crc_rejections +=
-          block_store_.Holders(DataBlockId(g)).size();
-      RebuildPartition(g, event.iteration);
-      continue;
-    }
-    recovery_.replica_crc_rejections += fetch->rejected_ranks.size();
-    for (int rank : fetch->rejected_ranks) PartitionRemoveHolder(g, rank);
-    // The first holder with a good copy is the new owner; its working state
-    // is current (holders apply updates in lock-step), so promotion needs no
-    // bytes. Re-replication to restore r+1 copies does.
-    ++recovery_.peer_replica_fetches;
-    recovery_.peer_fetch_bytes += RestoreReplication(g, event.iteration);
-  }
 }
 
 void ColumnSgdEngine::RecoverWorkerFailure(const FaultEvent& event) {
@@ -438,134 +288,17 @@ void ColumnSgdEngine::RecoverWorkerFailure(const FaultEvent& event) {
   state.store.Clear();
   state.store = ReloadWorkerShards(blocks_, *partitioner_, event.worker,
                                    runtime_.get(), config_.transform_cost);
-  InitGroupModel(group, &state);
-  const SavedModel* checkpoint = LatestCheckpoint();
-  if (checkpoint != nullptr) {
-    const int wpf = model_->weights_per_feature();
-    for (uint64_t lf = 0; lf < state.local_dim; ++lf) {
-      const uint64_t feature = partitioner_->GlobalIndex(group, lf);
-      for (int j = 0; j < wpf; ++j) {
-        state.weights[lf * wpf + j] = checkpoint->weights[feature * wpf + j];
-      }
-    }
-    // The master reads the partition from stable storage and ships it.
-    const uint64_t partition_bytes = state.weights.size() * sizeof(double);
-    ChargeCheckpointRead(runtime_->master(), partition_bytes);
-    SendWithFaults(runtime_->master(), failed_node, partition_bytes,
-                   event.iteration);
-    recovery_.iterations_lost +=
-        event.iteration - checkpoints_.completed_iterations();
-  } else {
-    recovery_.iterations_lost += event.iteration;
-  }
+  RestoreGroupModel(group, failed_node, event.iteration);
 }
 
 void ColumnSgdEngine::ChargeCheckpointGather() {
-  // The primary replica (elastic: current owner) of each group ships its
+  // The first compute member (elastic: the owner) of each group ships its
   // partition to the master.
   for (int g = 0; g < num_groups_; ++g) {
-    const int w = elastic_ ? PartitionOwner(g) : g * (options_.backup + 1);
-    runtime_->Send(runtime_->worker_node(w), runtime_->master(),
+    runtime_->Send(runtime_->worker_node(GroupComputeMembers(g).front()),
+                   runtime_->master(),
                    groups_[g].weights.size() * sizeof(double));
   }
-}
-
-Status ColumnSgdEngine::ApplyMembershipChange(const MembershipChange& change) {
-  if (!elastic_) {
-    return Status::FailedPrecondition(
-        "membership change on a non-elastic run (Setup precedes set_faults?)");
-  }
-  return change.kind == MembershipChange::Kind::kGrow
-             ? ElasticGrow(change.worker, change.iteration)
-             : ElasticShrink(change.worker, change.iteration);
-}
-
-Status ColumnSgdEngine::ElasticShrink(int worker, int64_t iteration) {
-  const int w = worker >= 0 ? worker : membership_.PickShrink();
-  if (w < 0 || !membership_.is_active(w)) {
-    return Status::FailedPrecondition(
-        "shrink target " + std::to_string(w) + " is not an active worker");
-  }
-  COLSGD_RETURN_NOT_OK(membership_.Remove(w));
-  ++recovery_.planned_departures;
-  // A planned decommission drains its state while still alive: sole copies
-  // hand off to a fresh owner, and replacement replicas are sourced from the
-  // departing rank itself — no detection delay, no lost state, no ladder.
-  const std::vector<uint64_t> held = block_store_.BlocksHeldBy(w);
-  for (uint64_t id : held) {
-    if (id >= kModelBlockBase) continue;
-    const int g = static_cast<int>(id);
-    RefreshModelBlock(g);
-    const std::vector<int> holders = block_store_.Holders(DataBlockId(g));
-    if (holders.size() == 1) {
-      const int target = LeastLoadedTarget(g, w);
-      COLSGD_CHECK_GE(target, 0)
-          << "no active rank to take over partition " << g;
-      ReplicatePartition(g, w, target, /*as_primary=*/true, iteration);
-    } else if (holders.front() == w) {
-      PartitionMakePrimary(g, holders[1]);
-    }
-    const int needed = std::min(block_store_.config().replication + 1,
-                                membership_.num_active());
-    while (static_cast<int>(block_store_.Holders(DataBlockId(g)).size()) - 1 <
-           needed) {
-      const int target = LeastLoadedTarget(g, w);
-      if (target < 0) break;
-      ReplicatePartition(g, w, target, /*as_primary=*/false, iteration);
-    }
-    PartitionRemoveHolder(g, w);
-  }
-  detector_.MarkDeparted(w);
-  return Status::OK();
-}
-
-Status ColumnSgdEngine::ElasticGrow(int rank_in, int64_t iteration) {
-  const int rank = rank_in >= 0 ? rank_in : membership_.PickGrow();
-  if (rank < 0) {
-    return Status::FailedPrecondition(
-        "grow requested but every provisioned rank is already active");
-  }
-  COLSGD_RETURN_NOT_OK(membership_.Add(rank));
-  detector_.MarkRejoined(rank);
-  ++recovery_.grows;
-  // Rebalance: shift whole partitions (ownership + resident copy) off the
-  // most-loaded owners until the new rank is within one partition of the
-  // heaviest. Moves pick the donor's lowest partition id; ties on load go to
-  // the lowest rank — all deterministic.
-  while (true) {
-    std::vector<int> owned(runtime_->total_workers(), 0);
-    for (int g = 0; g < num_groups_; ++g) ++owned[PartitionOwner(g)];
-    int donor = -1;
-    for (int candidate : membership_.active()) {
-      if (candidate == rank) continue;
-      if (donor < 0 || owned[candidate] > owned[donor]) donor = candidate;
-    }
-    if (donor < 0 || owned[rank] >= owned[donor] - 1) break;
-    int moved = -1;
-    for (int g = 0; g < num_groups_; ++g) {
-      if (PartitionOwner(g) == donor) {
-        moved = g;
-        break;
-      }
-    }
-    if (moved < 0) break;
-    RefreshModelBlock(moved);
-    bool already_holder = false;
-    for (int h : block_store_.Holders(DataBlockId(moved))) {
-      already_holder |= h == rank;
-    }
-    if (already_holder) {
-      PartitionMakePrimary(moved, rank);
-    } else {
-      ReplicatePartition(moved, donor, rank, /*as_primary=*/true, iteration);
-    }
-    PartitionRemoveHolder(moved, donor);
-    RestoreReplication(moved, iteration);
-  }
-  // A larger active set may also lift a previously capped replication level
-  // (min(r+1, active) grew): top every partition back up.
-  for (int g = 0; g < num_groups_; ++g) RestoreReplication(g, iteration);
-  return Status::OK();
 }
 
 Status ColumnSgdEngine::DoRunIteration(int64_t iteration) {

@@ -10,11 +10,12 @@
 //    message drops) with the recovery protocol of Appendix X; with backup
 //    groups, a surviving replica re-seeds a dead worker's partition over the
 //    network instead of a full reload.
-//  * elastic cluster membership (DESIGN.md §14): logical partitions stay
-//    pinned to the initial worker count while a block store keeps r+1
-//    in-memory copies of every partition's model slice and column shards, so
-//    the cluster can shrink, grow, and survive crashes mid-run with
-//    peer-to-peer recovery and bit-identical trained weights.
+//  * elastic cluster membership (DESIGN.md §14, engine/elastic.h): logical
+//    partitions stay pinned to the initial worker count while a block store
+//    keeps r+1 in-memory copies of every partition's column shards (block
+//    0) and model slice (block 1), so the cluster can shrink, grow, and
+//    survive crashes mid-run with peer-to-peer recovery and bit-identical
+//    trained weights.
 #ifndef COLSGD_ENGINE_COLUMNSGD_H_
 #define COLSGD_ENGINE_COLUMNSGD_H_
 
@@ -22,10 +23,8 @@
 #include <memory>
 #include <vector>
 
-#include "cluster/membership.h"
-#include "engine/api.h"
+#include "engine/elastic.h"
 #include "simnet/ssp_gate.h"
-#include "storage/block_store.h"
 #include "storage/partitioner.h"
 #include "storage/sampler.h"
 
@@ -41,7 +40,7 @@ struct ColumnSgdOptions {
   bool fp32_statistics = false;
 };
 
-class ColumnSgdEngine : public Engine {
+class ColumnSgdEngine : public ElasticEngine {
  public:
   ColumnSgdEngine(const ClusterSpec& cluster_spec, const TrainConfig& config,
                   ColumnSgdOptions options = {});
@@ -61,14 +60,6 @@ class ColumnSgdEngine : public Engine {
 
   /// \brief SSP final drain: applies every in-flight broadcast and barriers.
   Status FinishTraining() override;
-
-  /// \brief Whether this run uses the elastic (block-store-backed) path.
-  bool elastic() const { return elastic_; }
-  const MembershipView& membership() const { return membership_; }
-  const BlockStore& block_store() const { return block_store_; }
-  /// \brief Mutable store access for fault-injection tests (FlipBit a
-  /// replica and watch recovery fall through to the next copy).
-  BlockStore* mutable_block_store() { return &block_store_; }
 
  protected:
   Status DoRunIteration(int64_t iteration) override;
@@ -92,7 +83,20 @@ class ColumnSgdEngine : public Engine {
   /// \brief Elastic membership needs backup == 0: logical partitions are
   /// pinned to the initial workers, backup groups re-tile them.
   bool SupportsMembership() const override { return options_.backup == 0; }
-  Status ApplyMembershipChange(const MembershipChange& change) override;
+
+  // Elastic hooks: a rank's copies live on its worker, which holds them as
+  // full working replicas (all alive holders apply the broadcast update in
+  // lock-step, so a promoted replica is current without moving state).
+  NodeId HoldingNode(int rank) const override {
+    return runtime_->worker_node(rank);
+  }
+  /// \brief Re-seals the model slice image on all current holders from the
+  /// authoritative group state.
+  void ResealPartition(int g) override;
+  /// \brief Rebuilds the shards from the row blocks onto `dest`, restores
+  /// the slice from the last checkpoint or re-seeds it, and seeds both
+  /// blocks there.
+  void RebuildOnto(int g, int dest, int64_t iteration) override;
 
  private:
   /// \brief State of one partition group: a single materialized copy shared
@@ -110,6 +114,10 @@ class ColumnSgdEngine : public Engine {
   int GroupOf(int worker) const { return worker / (options_.backup + 1); }
 
   void InitGroupModel(int group, GroupState* state);
+  /// \brief Re-initializes group g's model and restores it from the last
+  /// checkpoint (shipped by the master to `node`), or keeps the initial
+  /// weights and loses every update. Returns whether a checkpoint was read.
+  bool RestoreGroupModel(int g, NodeId node, int64_t iteration);
   /// \brief Assembles the shard views + labels of the sampled batch for one
   /// group's store.
   BatchView MakeBatchView(const GroupState& state,
@@ -146,55 +154,19 @@ class ColumnSgdEngine : public Engine {
   SspArrivalLog ssp_arrivals_;  // broadcast arrival at each group's owner
 
   // --- Elastic membership (DESIGN.md §14) -------------------------------
-  // Each logical partition g owns two blocks in the store: its (static)
-  // column shards and its (refreshed-on-event) model slice. Both always
-  // share one holder set; the front holder is the partition's owner, the
-  // only rank that computes its statistics. All alive holders apply the
-  // broadcast update in lock-step, so a promoted replica is current without
-  // any state movement.
-  static constexpr uint64_t kModelBlockBase = uint64_t{1} << 32;
-  static uint64_t DataBlockId(int g) { return static_cast<uint64_t>(g); }
-  static uint64_t ModelBlockId(int g) {
-    return kModelBlockBase + static_cast<uint64_t>(g);
-  }
-
-  /// \brief Workers that participate in this iteration's BSP round, in rank
-  /// order. Fixed-membership runs return 0..K-1 (bit-identical schedules).
-  std::vector<int> ActiveWorkers() const;
+  // Partition g owns block 0, its (static) column shards, and block 1, its
+  // (re-sealed-on-event) model slice. The front holder is the only rank that
+  // computes its statistics.
   /// \brief Workers racing to compute group g's statistics: the backup
   /// replicas of g, or just the partition owner in elastic runs.
   std::vector<int> GroupComputeMembers(int g) const;
   /// \brief Workers whose clocks are charged for group g's model update:
   /// backup replicas, or every alive holder (lock-step replicas).
   std::vector<int> GroupUpdateMembers(int g) const;
-  int PartitionOwner(int g) const;
 
   std::vector<uint8_t> SerializePartitionData(int g) const;
-  /// \brief Re-seals the model slice image on all current holders from the
-  /// authoritative group state (called before any transfer or fetch).
-  void RefreshModelBlock(int g);
+  std::vector<uint8_t> SerializeModelSlice(int g) const;
   void SeedPartitionBlocks(int g, const std::vector<int>& holders);
-  void PartitionAddHolder(int g, int rank, bool as_primary);
-  void PartitionRemoveHolder(int g, int rank);
-  void PartitionMakePrimary(int g, int rank);
-  /// \brief Least-loaded (fewest partitions held) active rank that neither
-  /// holds partition g nor equals `exclude`; -1 when none qualifies.
-  int LeastLoadedTarget(int g, int exclude) const;
-  /// \brief Ships partition g (sealed data + model images) from rank `from`
-  /// to `to` over the faulty data plane and installs the copy. Returns the
-  /// wire bytes moved.
-  uint64_t ReplicatePartition(int g, int from, int to, bool as_primary,
-                              int64_t iteration);
-  /// \brief Adds copies until partition g has min(r+1, active) holders,
-  /// sourcing from its owner. Returns the wire bytes moved.
-  uint64_t RestoreReplication(int g, int64_t iteration);
-  /// \brief Full ladder bottom: rebuild shards from row blocks onto a fresh
-  /// rank, restore the slice from the last checkpoint or re-seed, then
-  /// re-establish replication.
-  void RebuildPartition(int g, int64_t iteration);
-  void RecoverElasticCrash(const FaultEvent& event);
-  Status ElasticShrink(int worker, int64_t iteration);
-  Status ElasticGrow(int rank, int64_t iteration);
 
   ColumnSgdOptions options_;
   int num_groups_ = 0;
@@ -211,10 +183,6 @@ class ColumnSgdEngine : public Engine {
   BlockDirectory directory_;
   std::unique_ptr<BatchSampler> sampler_;
   uint64_t num_features_ = 0;
-
-  bool elastic_ = false;
-  MembershipView membership_;
-  BlockStore block_store_;
 };
 
 }  // namespace colsgd

@@ -15,7 +15,8 @@ constexpr uint64_t kRequestHeaderBytes = 16;
 
 PsEngine::PsEngine(const ClusterSpec& cluster_spec, const TrainConfig& config,
                    PsOptions options)
-    : Engine(cluster_spec, config), options_(options) {
+    : ElasticEngine(cluster_spec, config, /*blocks_per_partition=*/1),
+      options_(options) {
   // Server s is a thread co-located with worker s but runs concurrently with
   // it, so it gets its own simulated endpoint — one per provisioned rank, so
   // a grown spare brings a server endpoint with it.
@@ -100,37 +101,20 @@ Status PsEngine::Setup(const Dataset& dataset) {
     SspStoreSnapshot(-1);  // the initial model is "version -1"
   }
 
-  elastic_ = ElasticRequested();
+  COLSGD_RETURN_NOT_OK(SetupElastic());
   if (elastic_) {
-    if (config_.elastic.replication >= K) {
-      return Status::InvalidArgument(
-          "replication " + std::to_string(config_.elastic.replication) +
-          " needs more than " + std::to_string(K) + " initial workers");
-    }
-    membership_ = MembershipView(K, runtime_->total_workers());
-    BlockStoreConfig store_config;
-    store_config.num_ranks = K;
-    store_config.replication = config_.elastic.replication;
-    store_config.seed = config_.elastic.placement_seed;
-    store_config.blocks_per_permutation_range =
-        config_.elastic.blocks_per_permutation_range;
-    block_store_ = BlockStore(store_config);
     for (int p = 0; p < K; ++p) {
-      const std::vector<int> holders =
-          block_store_.placement().HoldersWithPrimary(p, p);
-      block_store_.Put(p, SerializeShardSlice(p), holders);
+      const std::vector<int> holders = InitialHolders(p);
+      block_store_.Put(BlockId(p), SerializeShardSlice(p), holders);
       // The initial replica fan-out is real setup traffic: each replica
       // server receives and materializes one sealed shard image.
-      const uint64_t image_bytes = block_store_.ImageSize(p);
+      const uint64_t image_bytes = block_store_.ImageSize(BlockId(p));
       for (size_t i = 1; i < holders.size(); ++i) {
         runtime_->Send(runtime_->extra_node(p),
                        runtime_->extra_node(holders[i]), image_bytes);
         runtime_->ChargeMemTouch(runtime_->extra_node(holders[i]),
                                  image_bytes);
       }
-    }
-    for (int w = K; w < runtime_->total_workers(); ++w) {
-      detector_.MarkDeparted(w);
     }
     runtime_->Barrier();
     load_time_ = runtime_->MaxClock();
@@ -173,12 +157,6 @@ std::vector<uint64_t> PsEngine::KeysPerServer(
   return keys;
 }
 
-int PsEngine::PartitionOwner(int p) const {
-  const std::vector<int>& holders = block_store_.Holders(p);
-  COLSGD_CHECK(!holders.empty()) << "shard " << p << " has no holder";
-  return holders.front();
-}
-
 std::vector<uint8_t> PsEngine::SerializeShardSlice(int p) const {
   const int wpf = model_->weights_per_feature();
   const int sps = optimizer_->state_per_slot();
@@ -200,53 +178,8 @@ std::vector<uint8_t> PsEngine::SerializeShardSlice(int p) const {
   return slice.Serialize();
 }
 
-void PsEngine::RefreshShardBlock(int p) {
-  block_store_.Refresh(p, SerializeShardSlice(p));
-}
-
-int PsEngine::LeastLoadedTarget(int p, int exclude) const {
-  std::vector<int> load(runtime_->total_workers(), 0);
-  for (size_t s = 0; s < partitions_.size(); ++s) {
-    for (int h : block_store_.Holders(s)) ++load[h];
-  }
-  const std::vector<int>& holders = block_store_.Holders(p);
-  int best = -1;
-  for (int rank : membership_.active()) {
-    if (rank == exclude) continue;
-    bool holds = false;
-    for (int h : holders) holds |= h == rank;
-    if (holds) continue;
-    if (best < 0 || load[rank] < load[best]) best = rank;
-  }
-  return best;
-}
-
-uint64_t PsEngine::ReplicateShard(int p, int from, int to, bool as_primary,
-                                  int64_t iteration) {
-  const uint64_t bytes = block_store_.ImageSize(p);
-  SendWithFaults(runtime_->extra_node(from), runtime_->extra_node(to), bytes,
-                 iteration);
-  runtime_->ChargeMemTouch(runtime_->extra_node(to), bytes);
-  block_store_.AddHolder(p, to, as_primary);
-  return bytes;
-}
-
-uint64_t PsEngine::RestoreReplication(int p, int64_t iteration) {
-  const int needed = std::min(block_store_.config().replication + 1,
-                              membership_.num_active());
-  uint64_t bytes = 0;
-  bool refreshed = false;
-  while (static_cast<int>(block_store_.Holders(p).size()) < needed) {
-    const int target = LeastLoadedTarget(p, -1);
-    if (target < 0) break;
-    if (!refreshed) {
-      RefreshShardBlock(p);
-      refreshed = true;
-    }
-    bytes += ReplicateShard(p, PartitionOwner(p), target,
-                            /*as_primary=*/false, iteration);
-  }
-  return bytes;
+void PsEngine::ResealPartition(int p) {
+  block_store_.Refresh(BlockId(p), SerializeShardSlice(p));
 }
 
 void PsEngine::ChargeDataPartitionRead(int p, int rank) {
@@ -259,13 +192,23 @@ void PsEngine::ChargeDataPartitionRead(int p, int rank) {
   }
 }
 
-void PsEngine::RebuildShard(int p, int64_t iteration) {
-  const std::vector<int> stale = block_store_.Holders(p);
-  for (int rank : stale) block_store_.RemoveHolder(p, rank);
-  const int dest = LeastLoadedTarget(p, -1);
-  COLSGD_CHECK_GE(dest, 0) << "no active rank to rebuild shard " << p;
-  const NodeId dest_server = runtime_->extra_node(dest);
+void PsEngine::PullFullModel(int rank, int64_t iteration) {
+  const int wpf = model_->weights_per_feature();
+  const NodeId node = runtime_->worker_node(rank);
+  for (size_t s = 0; s < partitions_.size(); ++s) {
+    const int owner = PartitionOwner(static_cast<int>(s));
+    if (owner == rank) {
+      runtime_->SyncClockTo(node, runtime_->clock(runtime_->extra_node(owner)));
+    } else {
+      // Recovery pulls ride the faulty data plane like any other pull.
+      SendWithFaults(runtime_->extra_node(owner), node,
+                     shard_map_->LocalDim(s) * wpf * sizeof(double),
+                     iteration);
+    }
+  }
+}
 
+bool PsEngine::RestoreShard(int p, NodeId server_node, int64_t iteration) {
   const int wpf = model_->weights_per_feature();
   const int sps = optimizer_->state_per_slot();
   const SavedModel* checkpoint = LatestCheckpoint();
@@ -281,161 +224,29 @@ void PsEngine::RebuildShard(int p, int64_t iteration) {
     }
   }
   const uint64_t shard_bytes = shard_dim * wpf * sizeof(double);
-  if (checkpoint != nullptr) {
-    ChargeCheckpointRead(runtime_->master(), shard_bytes);
-    SendWithFaults(runtime_->master(), dest_server, shard_bytes, iteration);
-    recovery_.iterations_lost +=
-        iteration - checkpoints_.completed_iterations();
-  } else {
-    runtime_->ChargeMemTouch(dest_server, shard_bytes);
-    ++recovery_.reseeds;
+  if (checkpoint == nullptr) {
+    runtime_->ChargeMemTouch(server_node, shard_bytes);
     recovery_.iterations_lost += iteration;
+    return false;
   }
-  block_store_.Put(p, SerializeShardSlice(p), {dest});
-  RestoreReplication(p, iteration);
+  // The master reads the shard from stable storage and ships it.
+  ChargeCheckpointRead(runtime_->master(), shard_bytes);
+  SendWithFaults(runtime_->master(), server_node, shard_bytes, iteration);
+  recovery_.iterations_lost += iteration - checkpoints_.completed_iterations();
+  return true;
 }
 
-void PsEngine::RecoverElasticCrash(const FaultEvent& event) {
-  const int w = event.worker;
-  const std::vector<uint64_t> held = block_store_.BlocksHeldBy(w);
-  std::vector<int> owned;
-  for (uint64_t p : held) {
-    if (PartitionOwner(static_cast<int>(p)) == w) {
-      owned.push_back(static_cast<int>(p));
-    }
+void PsEngine::RebuildOnto(int p, int dest, int64_t iteration) {
+  if (!RestoreShard(p, runtime_->extra_node(dest), iteration)) {
+    ++recovery_.reseeds;
   }
-  if (membership_.num_active() > 1) {
-    const Status removed = membership_.Remove(w);
-    COLSGD_CHECK(removed.ok()) << removed.ToString();
-    detector_.MarkDeparted(w);
-    ++recovery_.crash_removals;
-  }
-  block_store_.DropRank(w);
-  for (uint64_t id : held) {
-    const int p = static_cast<int>(id);
-    if (block_store_.Holders(p).empty()) {
-      RebuildShard(p, event.iteration);
-      continue;
-    }
-    const Result<BlockFetch> fetch = block_store_.Fetch(p);
-    if (!fetch.ok()) {
-      recovery_.replica_crc_rejections += block_store_.Holders(p).size();
-      RebuildShard(p, event.iteration);
-      continue;
-    }
-    recovery_.replica_crc_rejections += fetch->rejected_ranks.size();
-    for (int rank : fetch->rejected_ranks) block_store_.RemoveHolder(p, rank);
-    // Mirrored pushes kept the surviving replicas current: promotion is
-    // free; only re-replication moves bytes.
-    ++recovery_.peer_replica_fetches;
-    recovery_.peer_fetch_bytes += RestoreReplication(p, event.iteration);
-  }
-  // Data partitions the dead rank computed on move with shard ownership: the
-  // new owner re-reads each from stable storage (never from a checkpoint).
-  for (int p : owned) ChargeDataPartitionRead(p, PartitionOwner(p));
+  block_store_.Put(BlockId(p), SerializeShardSlice(p), {dest});
 }
 
-Status PsEngine::ApplyMembershipChange(const MembershipChange& change) {
-  if (!elastic_) {
-    return Status::FailedPrecondition(
-        "membership change on a non-elastic run (Setup precedes set_faults?)");
-  }
-  return change.kind == MembershipChange::Kind::kGrow
-             ? ElasticGrow(change.worker, change.iteration)
-             : ElasticShrink(change.worker, change.iteration);
-}
-
-Status PsEngine::ElasticShrink(int worker, int64_t iteration) {
-  const int w = worker >= 0 ? worker : membership_.PickShrink();
-  if (w < 0 || !membership_.is_active(w)) {
-    return Status::FailedPrecondition(
-        "shrink target " + std::to_string(w) + " is not an active worker");
-  }
-  COLSGD_RETURN_NOT_OK(membership_.Remove(w));
-  ++recovery_.planned_departures;
-  const std::vector<uint64_t> held = block_store_.BlocksHeldBy(w);
-  for (uint64_t id : held) {
-    const int p = static_cast<int>(id);
-    RefreshShardBlock(p);
-    const std::vector<int> holders = block_store_.Holders(p);
-    const bool owned = holders.front() == w;
-    if (holders.size() == 1) {
-      const int target = LeastLoadedTarget(p, w);
-      COLSGD_CHECK_GE(target, 0) << "no active rank to take over shard " << p;
-      ReplicateShard(p, w, target, /*as_primary=*/true, iteration);
-    } else if (owned) {
-      block_store_.MakePrimary(p, holders[1]);
-    }
-    const int needed = std::min(block_store_.config().replication + 1,
-                                membership_.num_active());
-    while (static_cast<int>(block_store_.Holders(p).size()) - 1 < needed) {
-      const int target = LeastLoadedTarget(p, w);
-      if (target < 0) break;
-      ReplicateShard(p, w, target, /*as_primary=*/false, iteration);
-    }
-    block_store_.RemoveHolder(p, w);
-    if (owned) ChargeDataPartitionRead(p, PartitionOwner(p));
-  }
-  detector_.MarkDeparted(w);
-  return Status::OK();
-}
-
-Status PsEngine::ElasticGrow(int rank_in, int64_t iteration) {
-  const int rank = rank_in >= 0 ? rank_in : membership_.PickGrow();
-  if (rank < 0) {
-    return Status::FailedPrecondition(
-        "grow requested but every provisioned rank is already active");
-  }
-  COLSGD_RETURN_NOT_OK(membership_.Add(rank));
-  detector_.MarkRejoined(rank);
-  ++recovery_.grows;
-  // The new worker rebuilds its dense kvstore cache with one full pull.
-  const int wpf = model_->weights_per_feature();
-  const NodeId node = runtime_->worker_node(rank);
-  for (size_t s = 0; s < partitions_.size(); ++s) {
-    const int owner = PartitionOwner(static_cast<int>(s));
-    const uint64_t pull_bytes = shard_map_->LocalDim(s) * wpf * sizeof(double);
-    if (owner == rank) {
-      runtime_->SyncClockTo(node, runtime_->clock(runtime_->extra_node(owner)));
-    } else {
-      SendWithFaults(runtime_->extra_node(owner), node, pull_bytes, iteration);
-    }
-  }
-  runtime_->ChargeMemTouch(node, 2 * weights_.size() * sizeof(double));
-  // Rebalance whole logical indices (data partition + shard) off the
-  // most-loaded owners, deterministically.
-  const int G = static_cast<int>(partitions_.size());
-  while (true) {
-    std::vector<int> owned(runtime_->total_workers(), 0);
-    for (int p = 0; p < G; ++p) ++owned[PartitionOwner(p)];
-    int donor = -1;
-    for (int candidate : membership_.active()) {
-      if (candidate == rank) continue;
-      if (donor < 0 || owned[candidate] > owned[donor]) donor = candidate;
-    }
-    if (donor < 0 || owned[rank] >= owned[donor] - 1) break;
-    int moved = -1;
-    for (int p = 0; p < G; ++p) {
-      if (PartitionOwner(p) == donor) {
-        moved = p;
-        break;
-      }
-    }
-    if (moved < 0) break;
-    RefreshShardBlock(moved);
-    bool already_holder = false;
-    for (int h : block_store_.Holders(moved)) already_holder |= h == rank;
-    if (already_holder) {
-      block_store_.MakePrimary(moved, rank);
-    } else {
-      ReplicateShard(moved, donor, rank, /*as_primary=*/true, iteration);
-    }
-    block_store_.RemoveHolder(moved, donor);
-    RestoreReplication(moved, iteration);
-    ChargeDataPartitionRead(moved, rank);
-  }
-  for (int p = 0; p < G; ++p) RestoreReplication(p, iteration);
-  return Status::OK();
+void PsEngine::OnRankJoined(int rank, int64_t iteration) {
+  PullFullModel(rank, iteration);
+  runtime_->ChargeMemTouch(runtime_->worker_node(rank),
+                           2 * weights_.size() * sizeof(double));
 }
 
 void PsEngine::RecoverWorkerFailure(const FaultEvent& event) {
@@ -443,92 +254,47 @@ void PsEngine::RecoverWorkerFailure(const FaultEvent& event) {
     RecoverElasticCrash(event);
     return;
   }
-  const int wpf = model_->weights_per_feature();
-  const int sps = optimizer_->state_per_slot();
-  const NodeId worker_node = runtime_->worker_node(event.worker);
-  const TransformCostConfig& cost = config_.transform_cost;
-
-  // The worker side re-reads its row partition and re-materializes the dense
-  // kvstore arrays.
-  for (const RowBlock& b : partitions_[event.worker]) {
-    runtime_->AdvanceClock(worker_node,
-                           static_cast<double>(b.text_bytes) /
-                                   cost.disk_bandwidth +
-                               b.text_bytes * cost.mllib_ingest_per_byte);
-  }
-  runtime_->ChargeMemTouch(worker_node,
+  // The worker side re-reads its row partition, re-materializes the dense
+  // kvstore arrays and re-pulls the full model to rebuild its weight cache.
+  // The co-located server shard is gone with the node: it restores from the
+  // last checkpoint, or re-initializes and loses that slice's updates.
+  const int w = event.worker;
+  ChargeDataPartitionRead(w, w);
+  runtime_->ChargeMemTouch(runtime_->worker_node(w),
                            2 * weights_.size() * sizeof(double));
-  // The replacement re-pulls the full model from the servers to rebuild its
-  // dense kvstore weight cache (the co-located shard is loopback).
-  for (int srv = 0; srv < runtime_->num_workers(); ++srv) {
-    const uint64_t pull_bytes =
-        shard_map_->LocalDim(srv) * wpf * sizeof(double);
-    if (srv == event.worker) {
-      runtime_->SyncClockTo(worker_node,
-                            runtime_->clock(runtime_->extra_node(srv)));
-    } else {
-      // Recovery pulls ride the faulty data plane like any other pull.
-      SendWithFaults(runtime_->extra_node(srv), worker_node, pull_bytes,
-                     event.iteration);
-    }
-  }
-
-  // The co-located server shard is gone with the node. Restore its slots
-  // from the last checkpoint, or re-initialize and lose that slice's
-  // updates.
-  const int s = event.worker;
-  const NodeId server_node = runtime_->extra_node(s);
-  const SavedModel* checkpoint = LatestCheckpoint();
-  const uint64_t shard_dim = shard_map_->LocalDim(s);
-  for (uint64_t i = 0; i < shard_dim; ++i) {
-    const uint64_t feature = shard_map_->GlobalIndex(s, i);
-    for (int j = 0; j < wpf; ++j) {
-      const uint64_t slot = feature * wpf + j;
-      weights_[slot] = checkpoint != nullptr
-                           ? checkpoint->weights[slot]
-                           : model_->InitWeight(feature, j, config_.seed);
-      for (int k = 0; k < sps; ++k) opt_state_[slot * sps + k] = 0.0;
-    }
-  }
-  const uint64_t shard_bytes = shard_dim * wpf * sizeof(double);
-  if (checkpoint != nullptr) {
-    // The master reads the shard from stable storage and ships it.
-    ChargeCheckpointRead(runtime_->master(), shard_bytes);
-    SendWithFaults(runtime_->master(), server_node, shard_bytes,
-                   event.iteration);
-    recovery_.iterations_lost +=
-        event.iteration - checkpoints_.completed_iterations();
-  } else {
-    runtime_->ChargeMemTouch(server_node, shard_bytes);
-    recovery_.iterations_lost += event.iteration;
-  }
+  PullFullModel(w, event.iteration);
+  RestoreShard(w, runtime_->extra_node(w), event.iteration);
 }
 
 void PsEngine::ChargeCheckpointGather() {
   const int wpf = model_->weights_per_feature();
   for (int s = 0; s < runtime_->num_workers(); ++s) {
-    const int host = elastic_ ? PartitionOwner(s) : s;
-    runtime_->Send(runtime_->extra_node(host), runtime_->master(),
+    runtime_->Send(runtime_->extra_node(PartitionOwner(s)), runtime_->master(),
                    shard_map_->LocalDim(s) * wpf * sizeof(double));
   }
 }
 
-Status PsEngine::DoRunIterationElastic(int64_t iteration) {
-  // Same BSP round as the fixed-membership body, re-keyed: logical index p
-  // still names data partition p and shard p (the batch draw and the
-  // gradient-accumulation order are K-independent, so trained bits match the
-  // fixed cluster), but compute lands on PartitionOwner(p)'s endpoints and
-  // pushes mirror to every shard holder.
+Status PsEngine::DoRunIteration(int64_t iteration) {
+  if (config_.ssp.enabled) return DoRunIterationSsp(iteration);
+  // Logical index p names data partition p and server shard p. Compute
+  // lands on PartitionOwner(p)'s endpoints and pushes mirror to every holder
+  // of the shard; fixed membership is the identity placement (partition p
+  // on worker p, shard p on server p alone). The batch draw and the
+  // gradient-accumulation order do not depend on who computes, so an
+  // elastic run's trained bits match the fixed cluster's.
   const int G = static_cast<int>(partitions_.size());
   const int wpf = model_->weights_per_feature();
   const uint64_t model_bytes = weights_.size() * sizeof(double);
-  const std::vector<int>& active = membership_.active();
 
   TracePhase(Phase::kSerialization);
   runtime_->AdvanceClock(runtime_->master(),
                          SchedOverhead(kDefaultSchedOverhead));
+  // The master (driver) stays out of the pull/compute/push loop — its clock
+  // only moves again at the BSP barrier, so the whole round shows up there.
   TracePhase(Phase::kWire);
 
+  // Server s is co-located with worker s: transfers between them are
+  // loopback (clock sync only, no NIC time or bytes).
   auto transfer = [&](NodeId from, NodeId to, uint64_t bytes, bool local) {
     if (local) {
       runtime_->SyncClockTo(to, runtime_->clock(from));
@@ -538,9 +304,10 @@ Status PsEngine::DoRunIterationElastic(int64_t iteration) {
   };
 
   // Worker step, on the host pool: partition p's slice of the batch is
-  // drawn with p's RNG no matter which rank computes it, and its gradient is
-  // taken against the pulled (current) model. The phases below only charge
-  // it, in partition order.
+  // drawn with p's RNG no matter which rank computes it (with sparse pull
+  // the key set depends on the batch content), and its gradient is taken
+  // against the pulled (current) model, which nothing changes before the
+  // apply. Phases 1-4 only charge it, in partition order.
   std::vector<std::vector<uint64_t>> keys_per_shard(G);
   ForEachWorker(G, [&](int p) {
     RowWorkerStep& step = steps_[p];
@@ -551,8 +318,8 @@ Status PsEngine::DoRunIterationElastic(int64_t iteration) {
     step.ForwardGrad(*model_, weights_, G);
   });
 
-  // Phase 1: pull requests from each partition's owner to each shard's
-  // owner; co-located pairs are loopback.
+  // Phase 1: all pull requests go out (asynchronously, pipelining on each
+  // worker's outbound NIC), from each partition's owner to each shard's.
   for (int p = 0; p < G; ++p) {
     const int rank = PartitionOwner(p);
     const NodeId node = runtime_->worker_node(rank);
@@ -568,7 +335,9 @@ Status PsEngine::DoRunIterationElastic(int64_t iteration) {
     }
   }
 
-  // Phase 2: shard owners look keys up and reply.
+  // Phase 2: shard owners look keys up and reply; workers block until their
+  // last reply arrives. Iterate shard-major so each server's CPU serializes
+  // its own lookups, not the cluster's.
   for (int s = 0; s < G; ++s) {
     const int server_host = PartitionOwner(s);
     const NodeId server_node = runtime_->extra_node(server_host);
@@ -594,7 +363,9 @@ Status PsEngine::DoRunIterationElastic(int64_t iteration) {
   }
 
   // Phase 3: gradients, summed in partition order (fixed-K float sum
-  // order); per-rank totals drive the clock and straggler charges.
+  // order); per-rank totals drive the clock and straggler charges. The
+  // dense weight/gradient buffer sweeps on the worker (the kvstore arrays)
+  // are the O(m) per-iteration term of the PS baselines.
   double loss_sum = 0.0;
   size_t batch_total = 0;
   std::vector<uint64_t> rank_flops(runtime_->total_workers(), 0);
@@ -603,7 +374,7 @@ Status PsEngine::DoRunIterationElastic(int64_t iteration) {
     batch_total += steps_[p].batch.size();
     rank_flops[PartitionOwner(p)] += steps_[p].flops.flops();
   }
-  for (int rank : active) {
+  for (int rank : ActiveWorkers()) {
     const NodeId node = runtime_->worker_node(rank);
     runtime_->ChargeCompute(node, rank_flops[rank]);
     runtime_->ChargeMemTouch(node, 2 * model_bytes);
@@ -635,7 +406,7 @@ Status PsEngine::DoRunIterationElastic(int64_t iteration) {
                      shard_map_->LocalDim(s) * wpf * sizeof(double);
         server_keys = shard_map_->LocalDim(s);
       }
-      for (int holder : block_store_.Holders(s)) {
+      for (int holder : PartitionHolders(s)) {
         const NodeId server_node = runtime_->extra_node(holder);
         transfer(node, server_node, push_bytes, holder == rank);
         runtime_->ChargeCompute(server_node,
@@ -645,152 +416,19 @@ Status PsEngine::DoRunIterationElastic(int64_t iteration) {
   }
 
   // The aggregated update lands on every holder of each shard (lock-step
-  // replicas), then the BSP barrier closes the round.
+  // replicas), then the BSP barrier closes the round. On the host, each
+  // shard scatters and applies its own slots on the pool.
   FlopCounter update_flops;
   update_.Apply(steps_, batch_total, config_.reg, optimizer_.get(), &weights_,
                 &opt_state_, &update_flops, grad_sq_accum());
   for (int s = 0; s < G; ++s) {
-    for (int holder : block_store_.Holders(s)) {
+    for (int holder : PartitionHolders(s)) {
       runtime_->ChargeCompute(runtime_->extra_node(holder),
                               update_flops.flops() / G);
     }
   }
   TracePhase(Phase::kBarrier);
   runtime_->Barrier();
-  return Status::OK();
-}
-
-Status PsEngine::DoRunIteration(int64_t iteration) {
-  if (config_.ssp.enabled) return DoRunIterationSsp(iteration);
-  if (elastic_) return DoRunIterationElastic(iteration);
-  const int K = runtime_->num_workers();
-  const int wpf = model_->weights_per_feature();
-  const uint64_t model_bytes = weights_.size() * sizeof(double);
-
-  TracePhase(Phase::kSerialization);
-  runtime_->AdvanceClock(runtime_->master(),
-                         SchedOverhead(kDefaultSchedOverhead));
-  // The master (driver) stays out of the pull/compute/push loop — its clock
-  // only moves again at the BSP barrier, so the whole round shows up there.
-  TracePhase(Phase::kWire);
-
-  // Server w is co-located with worker w: transfers between them are
-  // loopback (clock sync only, no NIC time or bytes).
-  auto transfer = [&](NodeId from, NodeId to, uint64_t bytes, bool local) {
-    if (local) {
-      runtime_->SyncClockTo(to, runtime_->clock(from));
-    } else {
-      SendWithFaults(from, to, bytes, iteration);
-    }
-  };
-
-  // Worker step, on the host pool: every worker samples its slice of the
-  // batch (with sparse pull the key set depends on the batch content) and
-  // computes its gradient against the pulled (current) model, which nothing
-  // changes before the apply. Phases 1-4 only charge it, in worker order.
-  std::vector<std::vector<uint64_t>> keys_per_server(K);
-  ForEachWorker(K, [&](int w) {
-    RowWorkerStep& step = steps_[w];
-    step.Draw(partitions_[w], partition_rows_[w], WorkerBatchSize(w),
-              WorkerIterationRng(config_.seed, iteration, w),
-              options_.sparse_pull);
-    keys_per_server[w] = KeysPerServer(step);
-    step.ForwardGrad(*model_, weights_, K);
-  });
-
-  // Phase 1: all pull requests go out (asynchronously, pipelining on each
-  // worker's outbound NIC).
-  for (int w = 0; w < K; ++w) {
-    const NodeId node = runtime_->worker_node(w);
-    for (int s = 0; s < K; ++s) {
-      if (options_.sparse_pull && keys_per_server[w][s] == 0) continue;
-      const uint64_t request_bytes =
-          kRequestHeaderBytes + (options_.sparse_pull
-                                     ? keys_per_server[w][s] * sizeof(uint32_t)
-                                     : 0);
-      transfer(node, runtime_->extra_node(s), request_bytes, s == w);
-    }
-  }
-
-  // Phase 2: servers look keys up and reply; workers block until their last
-  // reply arrives. Iterate server-major so each server's CPU serializes its
-  // own lookups, not the cluster's.
-  for (int s = 0; s < K; ++s) {
-    const NodeId server_node = runtime_->extra_node(s);
-    for (int w = 0; w < K; ++w) {
-      uint64_t reply_bytes;
-      uint64_t server_keys;
-      if (options_.sparse_pull) {
-        if (keys_per_server[w][s] == 0) continue;
-        reply_bytes = kRequestHeaderBytes +
-                      keys_per_server[w][s] * sizeof(double) * wpf;
-        server_keys = keys_per_server[w][s];
-      } else {
-        reply_bytes = kRequestHeaderBytes +
-                      shard_map_->LocalDim(s) * wpf * sizeof(double);
-        server_keys = shard_map_->LocalDim(s);
-      }
-      runtime_->ChargeCompute(server_node,
-                              server_keys * options_.flops_per_key);
-      transfer(server_node, runtime_->worker_node(w), reply_bytes, s == w);
-    }
-  }
-
-  // Phase 3: workers compute gradients against the pulled (current) model.
-  double loss_sum = 0.0;
-  size_t batch_total = 0;
-  for (int w = 0; w < K; ++w) {
-    const NodeId node = runtime_->worker_node(w);
-    const RowWorkerStep& step = steps_[w];
-    for (double loss : step.row_losses) loss_sum += loss;
-    batch_total += step.batch.size();
-    runtime_->ChargeCompute(node, step.flops.flops());
-    // Dense weight/gradient buffer sweeps on the worker (the kvstore
-    // arrays): this is the O(m) per-iteration term of the PS baselines.
-    runtime_->ChargeMemTouch(node, 2 * model_bytes);
-    const double level = StragglerLevelFor(iteration, w);
-    if (level > 0.0) {
-      runtime_->AdvanceClock(
-          node, level * cluster_spec_.compute.SecondsFor(step.flops.flops()));
-    }
-  }
-  last_batch_loss_ = loss_sum / static_cast<double>(batch_total);
-
-  // Phase 4: workers push gradients; servers apply them.
-  for (int w = 0; w < K; ++w) {
-    const NodeId node = runtime_->worker_node(w);
-    for (int s = 0; s < K; ++s) {
-      const NodeId server_node = runtime_->extra_node(s);
-      uint64_t push_bytes;
-      uint64_t server_keys;
-      if (options_.sparse_pull) {
-        if (keys_per_server[w][s] == 0) continue;
-        push_bytes =
-            kRequestHeaderBytes +
-            keys_per_server[w][s] * (sizeof(uint32_t) + sizeof(double) * wpf);
-        server_keys = keys_per_server[w][s];
-      } else {
-        push_bytes = kRequestHeaderBytes +
-                     shard_map_->LocalDim(s) * wpf * sizeof(double);
-        server_keys = shard_map_->LocalDim(s);
-      }
-      transfer(node, server_node, push_bytes, s == w);
-      runtime_->ChargeCompute(server_node,
-                              server_keys * options_.flops_per_key);
-    }
-  }
-
-  // The aggregated update lands on the server shards (BSP round); on the
-  // host, each shard scatters and applies its own slots on the pool.
-  FlopCounter update_flops;
-  update_.Apply(steps_, batch_total, config_.reg, optimizer_.get(), &weights_,
-                &opt_state_, &update_flops, grad_sq_accum());
-  for (int s = 0; s < K; ++s) {
-    runtime_->ChargeCompute(runtime_->extra_node(s),
-                            update_flops.flops() / K);
-  }
-  TracePhase(Phase::kBarrier);
-  runtime_->Barrier();  // BSP synchronization barrier
   return Status::OK();
 }
 

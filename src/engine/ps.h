@@ -9,23 +9,23 @@
 //    weight/gradient buffers per iteration (the kvstore arrays), which is
 //    what makes its per-iteration time grow with the model size (Table IV)
 //    and what runs out of memory for the billion-parameter FM (Table V).
-// Elastic membership (DESIGN.md §14): logical data partitions and server
-// shards stay pinned at the initial worker count; a block store keeps r+1
-// copies of every shard slice, kept current by mirroring pushes to replica
-// servers, so a crashed shard promotes a replica instead of reading a
-// checkpoint. Row data always re-reads from (simulated) stable storage —
-// that is the row-oriented baselines' natural recovery path.
+// Elastic membership (DESIGN.md §14, engine/elastic.h): logical index p
+// names data partition p and server shard p, one block per partition. The
+// block store keeps r+1 copies of every shard slice, kept current by
+// mirroring pushes to replica servers, so a crashed shard promotes a
+// replica instead of reading a checkpoint. Row data always re-reads from
+// (simulated) stable storage — that is the row-oriented baselines' natural
+// recovery path. Fixed membership runs the same BSP body with the identity
+// placement (shard p on server p, partition p on worker p).
 #ifndef COLSGD_ENGINE_PS_H_
 #define COLSGD_ENGINE_PS_H_
 
 #include <memory>
 #include <vector>
 
-#include "cluster/membership.h"
-#include "engine/api.h"
+#include "engine/elastic.h"
 #include "engine/row_step.h"
 #include "simnet/ssp_gate.h"
-#include "storage/block_store.h"
 #include "storage/partitioner.h"
 
 namespace colsgd {
@@ -36,7 +36,7 @@ struct PsOptions {
   uint64_t flops_per_key = 20;
 };
 
-class PsEngine : public Engine {
+class PsEngine : public ElasticEngine {
  public:
   PsEngine(const ClusterSpec& cluster_spec, const TrainConfig& config,
            PsOptions options = {});
@@ -49,11 +49,6 @@ class PsEngine : public Engine {
 
   uint64_t ServerMemoryBytes(int server) const;
   uint64_t WorkerMemoryBytes(int worker) const;
-
-  bool elastic() const { return elastic_; }
-  const MembershipView& membership() const { return membership_; }
-  const BlockStore& block_store() const { return block_store_; }
-  BlockStore* mutable_block_store() { return &block_store_; }
 
   /// \brief SSP fence: under bounded staleness `weights_` is always the
   /// newest fully-applied version (updates for an iteration land within that
@@ -68,10 +63,26 @@ class PsEngine : public Engine {
   /// checkpoint (or re-initializes, losing its slice's updates). Elastic
   /// runs remove the rank instead and promote a mirrored shard replica.
   void RecoverWorkerFailure(const FaultEvent& event) override;
-  /// \brief Every server ships its shard to the master.
+  /// \brief Every shard owner ships its shard to the master.
   void ChargeCheckpointGather() override;
-  bool SupportsMembership() const override { return true; }
-  Status ApplyMembershipChange(const MembershipChange& change) override;
+
+  // Elastic hooks: a rank's shard copies live on its server endpoint, and
+  // replicas receive mirrored pushes (charged r-fold), so promotion moves
+  // no state.
+  NodeId HoldingNode(int rank) const override {
+    return runtime_->extra_node(rank);
+  }
+  /// \brief Re-seals shard p's slice image (weights + optimizer state in
+  /// shard-local layout) on all current holders.
+  void ResealPartition(int p) override;
+  void RebuildOnto(int p, int dest, int64_t iteration) override;
+  /// \brief The new owner re-reads the row partition.
+  void OnOwnershipMoved(int p, int owner) override {
+    ChargeDataPartitionRead(p, owner);
+  }
+  /// \brief The joining worker rebuilds its dense kvstore cache with one
+  /// full pull.
+  void OnRankJoined(int rank, int64_t iteration) override;
 
  private:
   size_t WorkerBatchSize(int worker) const;
@@ -79,33 +90,16 @@ class PsEngine : public Engine {
   /// empty for dense pulls).
   std::vector<uint64_t> KeysPerServer(const RowWorkerStep& step) const;
 
-  // --- Elastic membership (DESIGN.md §14) -------------------------------
-  // One logical index p <- [0, K0) names both data partition p and server
-  // shard p; the front holder of shard block p owns both. Shard replicas
-  // receive mirrored pushes (charged r-fold), so promotion moves no state.
-  int PartitionOwner(int p) const;
-  /// \brief Re-seals shard p's slice image (weights + optimizer state in
-  /// shard-local layout) on all current holders.
-  void RefreshShardBlock(int p);
   std::vector<uint8_t> SerializeShardSlice(int p) const;
-  /// \brief Least-loaded (fewest shards held) active rank not holding shard
-  /// p and != exclude; -1 when none qualifies.
-  int LeastLoadedTarget(int p, int exclude) const;
-  /// \brief Ships shard p's sealed image between server endpoints and
-  /// installs the copy; returns the wire bytes.
-  uint64_t ReplicateShard(int p, int from, int to, bool as_primary,
-                          int64_t iteration);
-  uint64_t RestoreReplication(int p, int64_t iteration);
-  /// \brief Worker `rank` re-reads data partition p from stable storage and
-  /// re-materializes its dense kvstore arrays (ownership moved to it).
+  /// \brief Worker `rank` re-reads data partition p from stable storage.
   void ChargeDataPartitionRead(int p, int rank);
-  /// \brief Ladder bottom for shard p: checkpoint restore or re-initialize
-  /// onto a fresh owner, then re-establish replication.
-  void RebuildShard(int p, int64_t iteration);
-  void RecoverElasticCrash(const FaultEvent& event);
-  Status ElasticShrink(int worker, int64_t iteration);
-  Status ElasticGrow(int rank, int64_t iteration);
-  Status DoRunIterationElastic(int64_t iteration);
+  /// \brief Worker `rank` pulls every shard from its owner (its own
+  /// co-located shard is loopback).
+  void PullFullModel(int rank, int64_t iteration);
+  /// \brief Restores shard p's slots from the last checkpoint (shipped by
+  /// the master to `server_node`) or re-initializes them, losing the
+  /// slice's updates. Returns whether a checkpoint was read.
+  bool RestoreShard(int p, NodeId server_node, int64_t iteration);
 
   // --- Bounded staleness (DESIGN.md §15) --------------------------------
   // Shards keep a ring of full model snapshots, one per applied version
@@ -142,10 +136,6 @@ class PsEngine : public Engine {
   std::unique_ptr<ColumnPartitioner> shard_map_;  // feature -> server
   std::vector<std::vector<RowBlock>> partitions_;
   std::vector<uint64_t> partition_rows_;
-
-  bool elastic_ = false;
-  MembershipView membership_;
-  BlockStore block_store_;
 };
 
 }  // namespace colsgd
