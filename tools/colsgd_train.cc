@@ -137,25 +137,32 @@ Result<std::vector<MembershipChange>> ParseMembershipSpec(
   return changes;
 }
 
+/// The --synthetic presets by name; empty means tiny.
+Result<SyntheticSpec> SyntheticPreset(const std::string& name) {
+  if (name == "avazu-sim") return AvazuSimSpec();
+  if (name == "kddb-sim") return KddbSimSpec();
+  if (name == "kdd12-sim") return Kdd12SimSpec();
+  if (name == "wx-sim") return WxSimSpec();
+  if (name.empty() || name == "tiny") return TinySpec();
+  return Status::InvalidArgument(
+      "--synthetic must be avazu-sim, kddb-sim, kdd12-sim, wx-sim or tiny, "
+      "got '" + name + "'");
+}
+
 Result<Dataset> LoadData(const std::string& data_path,
                          const std::string& synthetic, bool zero_based) {
   if (!data_path.empty()) {
     return ReadLibsvmFile(data_path, zero_based);
   }
-  if (synthetic == "avazu-sim") return GenerateSynthetic(AvazuSimSpec());
-  if (synthetic == "kddb-sim") return GenerateSynthetic(KddbSimSpec());
-  if (synthetic == "kdd12-sim") return GenerateSynthetic(Kdd12SimSpec());
-  if (synthetic == "wx-sim") return GenerateSynthetic(WxSimSpec());
-  if (synthetic == "tiny") return GenerateSynthetic(TinySpec());
-  return Status::InvalidArgument(
-      "pass --data <libsvm file> or --synthetic "
-      "{avazu-sim,kddb-sim,kdd12-sim,wx-sim,tiny}");
+  SyntheticSpec spec;
+  COLSGD_ASSIGN_OR_RETURN(spec, SyntheticPreset(synthetic));
+  return GenerateSynthetic(spec);
 }
 
 int Run(int argc, char** argv) {
   FlagParser flags;
   std::string data_path;
-  std::string synthetic = "tiny";
+  std::string synthetic;
   bool zero_based = false;
   std::string engine_name = "columnsgd";
   std::string model = "lr";
@@ -175,7 +182,8 @@ int Run(int argc, char** argv) {
   flags.AddString("data", &data_path, "libsvm training file");
   flags.AddBool("zero_based", &zero_based, "libsvm indices are 0-based");
   flags.AddString("synthetic", &synthetic,
-                  "synthetic dataset preset when --data is not given");
+                  "synthetic dataset preset instead of --data: avazu-sim | "
+                  "kddb-sim | kdd12-sim | wx-sim | tiny (the default)");
   flags.AddString("engine", &engine_name,
                   "columnsgd | mllib | mllib_star | petuum | mxnet");
   flags.AddString("model", &model, "lr | svm | lsq | mlr<C> | fm<F> | mlp<H>");
@@ -255,6 +263,7 @@ int Run(int argc, char** argv) {
                   "SSP: deterministic per-(iteration, worker) compute-time "
                   "jitter fraction in [0, x)");
   std::string kernel_mode = "scalar";
+  kernels::KernelMode kmode = kernels::KernelMode::kScalar;
   std::string calibration_path;
   flags.AddString("kernel", &kernel_mode,
                   "executed kernel mode (DESIGN.md §18): scalar | simd | "
@@ -311,6 +320,44 @@ int Run(int argc, char** argv) {
           "--drop_prob, --corrupt_prob, --partition_spec or "
           "--membership_spec)");
     }
+    const bool elastic = replication >= 0 || !membership_spec.empty();
+    if ((elastic || max_workers > 0) &&
+        (engine_name == "mllib" || engine_name == "mllib_star")) {
+      return Status::InvalidArgument(
+          "--replication, --max_workers and --membership_spec need an "
+          "elastic engine (columnsgd, petuum or mxnet), not " + engine_name);
+    }
+    if (max_workers > 0 && !elastic) {
+      return Status::InvalidArgument(
+          "--max_workers provisions spares for elastic membership, so it "
+          "needs --replication or --membership_spec");
+    }
+    if (max_workers > 0 && max_workers < workers) {
+      return Status::InvalidArgument(
+          "--max_workers must not be below --workers");
+    }
+    if (elastic && staleness >= 0 &&
+        (engine_name == "petuum" || engine_name == "mxnet")) {
+      return Status::InvalidArgument(
+          "--staleness on " + engine_name + " runs on a fixed server set, so "
+          "it excludes --replication and --membership_spec");
+    }
+    if (!data_path.empty()) {
+      if (!synthetic.empty()) {
+        return Status::InvalidArgument(
+            "--data and --synthetic each name the training set; pass one");
+      }
+    } else {
+      if (zero_based) {
+        return Status::InvalidArgument(
+            "--zero_based describes a --data file's indices");
+      }
+      COLSGD_RETURN_NOT_OK(SyntheticPreset(synthetic).status());
+    }
+    if (!kernels::ParseKernelMode(kernel_mode, &kmode)) {
+      return Status::InvalidArgument(
+          "--kernel must be scalar|simd|threaded, got '" + kernel_mode + "'");
+    }
     return Status::OK();
   });
 
@@ -325,12 +372,6 @@ int Run(int argc, char** argv) {
               static_cast<unsigned long long>(dataset.num_features),
               dataset.AvgNnzPerRow(), dataset.Sparsity());
 
-  kernels::KernelMode kmode;
-  if (!kernels::ParseKernelMode(kernel_mode, &kmode)) {
-    std::fprintf(stderr, "--kernel must be scalar|simd|threaded, got '%s'\n",
-                 kernel_mode.c_str());
-    return 2;
-  }
   kernels::SetMode(kmode);
 
   ClusterSpec cluster = cluster2
