@@ -111,4 +111,10 @@ std::unique_ptr<Engine> MakeEngine(const std::string& name,
   return nullptr;
 }
 
+const std::vector<std::string>& EngineNames() {
+  static const std::vector<std::string> names = {
+      "columnsgd", "mllib", "mllib_star", "petuum", "mxnet"};
+  return names;
+}
+
 }  // namespace colsgd

@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "engine/api.h"
 #include "storage/dataset.h"
@@ -36,6 +37,10 @@ double EvaluateLoss(const ModelSpec& model, const std::vector<double>& weights,
 std::unique_ptr<Engine> MakeEngine(const std::string& name,
                                    const ClusterSpec& cluster_spec,
                                    const TrainConfig& config);
+
+/// \brief The names MakeEngine accepts, so a tool can reject a bad name
+/// before any work starts.
+const std::vector<std::string>& EngineNames();
 
 }  // namespace colsgd
 

@@ -285,8 +285,7 @@ int Run(int argc, char** argv) {
   // Unknown names, and flags that would do nothing with the others given.
   flags.ParseOrExit(argc, argv, [&]() -> Status {
     COLSGD_RETURN_NOT_OK(CreateModel(model).status());
-    const std::vector<std::string> engines = {"columnsgd", "mllib",
-                                              "mllib_star", "petuum", "mxnet"};
+    const std::vector<std::string>& engines = EngineNames();
     if (std::find(engines.begin(), engines.end(), engine_name) ==
         engines.end()) {
       return Status::InvalidArgument("unknown engine: " + engine_name);
