@@ -3,7 +3,7 @@
 // and the replicated serving fleet behind it.
 //
 // Measured configurations on a planted LR/FM model over a synthetic query
-// log. Single-group (ServeFrontend):
+// log. Single frontend (ServeFleet with routing off):
 //
 //   lr/poisson    steady Poisson load at --rate on 4 shards;
 //   lr/burst      the same base rate with 8x flash-crowd bursts — queueing
@@ -35,6 +35,7 @@
 // All metrics are lower-is-better (us_per_request instead of throughput).
 // Per-request series (latency and its queue/scatter/compute/gather tiling)
 // are emitted for the steady-state configuration.
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,7 +45,6 @@
 #include "datagen/synthetic.h"
 #include "model/factory.h"
 #include "serve/fleet.h"
-#include "serve/frontend.h"
 
 namespace colsgd {
 namespace {
@@ -55,7 +55,7 @@ struct ServingCase {
   std::string arrivals = "poisson";
   int64_t swaps = 0;
   double fail_at = 0.0;  // 0 = no shard failure
-  // Fleet knobs (replicas == 0 runs the plain single-group frontend).
+  // Fleet knobs (replicas == 0 runs the single frontend, without a router).
   int replicas = 0;
   bool hedging = true;
   int straggle_group = -1;
@@ -140,41 +140,46 @@ void RunCase(const ServingCase& bench_case, const Dataset& queries,
   result->env["rate"] = std::to_string(rate);
   result->env["seed"] = std::to_string(seed);
 
-  if (bench_case.replicas > 0) {
-    FleetConfig config;
-    config.replicas = bench_case.replicas;
-    config.serve = serve;
-    config.hedging = bench_case.hedging;
-    config.straggle_group = bench_case.straggle_group;
-    config.straggle_level = bench_case.straggle_level;
-    if (bench_case.straggle_level > 0.0) {
-      // A persistent straggler poisons the upper quantiles of the mixed
-      // round-trip window; the budget tracks the median instead.
-      config.hedge_quantile = 0.5;
-      config.hedge_min_budget = 1e-3;
-    }
-    if (bench_case.group_fail_at > 0.0) {
-      // Tighten the heartbeat so detection lands inside the short run.
-      config.detector.heartbeat_interval = 0.01;
-      config.detector.heartbeat_timeout = 0.04;
-    }
-    ServeFleet fleet(ClusterSpec::Cluster1(), config, &queries);
-    COLSGD_CHECK_OK(fleet.Install(model));
-    for (int64_t s = 0; s < bench_case.swaps; ++s) {
-      fleet.ScheduleSwap(
-          horizon * static_cast<double>(s + 1) /
-              static_cast<double>(bench_case.swaps + 1),
-          PlantedModel(bench_case.model, queries.num_features, seed + 2 + s),
-          /*trained_iterations=*/(s + 1) * 10);
-    }
-    if (bench_case.group_fail_at > 0.0) {
-      fleet.ScheduleGroupFailure(bench_case.group_fail_at * horizon,
-                                 /*group=*/0);
-    }
-    COLSGD_CHECK_OK(fleet.Run(arrivals));
-    const FleetSummary s = fleet.Summarize();
+  FleetConfig config;
+  config.replicas = std::max(bench_case.replicas, 1);
+  config.routing = bench_case.replicas > 0;
+  config.serve = serve;
+  config.hedging = bench_case.hedging;
+  config.straggle_group = bench_case.straggle_group;
+  config.straggle_level = bench_case.straggle_level;
+  if (bench_case.straggle_level > 0.0) {
+    // A persistent straggler poisons the upper quantiles of the mixed
+    // round-trip window; the budget tracks the median instead.
+    config.hedge_quantile = 0.5;
+    config.hedge_min_budget = 1e-3;
+  }
+  if (bench_case.group_fail_at > 0.0) {
+    // Tighten the heartbeat so detection lands inside the short run.
+    config.detector.heartbeat_interval = 0.01;
+    config.detector.heartbeat_timeout = 0.04;
+  }
+  ServeFleet fleet(ClusterSpec::Cluster1(), config, &queries);
+  COLSGD_CHECK_OK(fleet.Install(model));
+  for (int64_t s = 0; s < bench_case.swaps; ++s) {
+    fleet.ScheduleSwap(
+        horizon * static_cast<double>(s + 1) /
+            static_cast<double>(bench_case.swaps + 1),
+        PlantedModel(bench_case.model, queries.num_features, seed + 2 + s),
+        /*trained_iterations=*/(s + 1) * 10);
+  }
+  if (bench_case.fail_at > 0.0) {
+    fleet.ScheduleShardFailure(bench_case.fail_at * horizon, /*group=*/0,
+                               /*shard=*/1);
+  }
+  if (bench_case.group_fail_at > 0.0) {
+    fleet.ScheduleGroupFailure(bench_case.group_fail_at * horizon,
+                               /*group=*/0);
+  }
+  COLSGD_CHECK_OK(fleet.Run(arrivals));
+  const FleetSummary s = fleet.Summarize();
+  FillCommonMetrics(s, result);
+  if (config.routing) {
     result->env["replicas"] = std::to_string(bench_case.replicas);
-    FillCommonMetrics(s, result);
     result->metrics["hedge_fire_fraction"] =
         s.batches > 0 ? static_cast<double>(s.hedges_fired) /
                             static_cast<double>(s.batches)
@@ -187,32 +192,13 @@ void RunCase(const ServingCase& bench_case, const Dataset& queries,
         s.wire_bytes > 0 ? static_cast<double>(s.hedge_bytes) /
                                static_cast<double>(s.wire_bytes)
                          : 0.0;
-    result->metrics["redispatches"] =
-        static_cast<double>(s.redispatches);
+    result->metrics["redispatches"] = static_cast<double>(s.redispatches);
     result->metrics["group_down_events"] =
         static_cast<double>(s.group_down_events);
-    PrintCaseLine(bench_case.name, s);
-    return;
   }
-
-  ServeFrontend frontend(ClusterSpec::Cluster1(), serve, &queries);
-  COLSGD_CHECK_OK(frontend.Install(model));
-  for (int64_t s = 0; s < bench_case.swaps; ++s) {
-    frontend.ScheduleSwap(
-        horizon * static_cast<double>(s + 1) /
-            static_cast<double>(bench_case.swaps + 1),
-        PlantedModel(bench_case.model, queries.num_features, seed + 2 + s),
-        /*trained_iterations=*/(s + 1) * 10);
-  }
-  if (bench_case.fail_at > 0.0) {
-    frontend.ScheduleShardFailure(bench_case.fail_at * horizon, /*shard=*/1);
-  }
-  COLSGD_CHECK_OK(frontend.Run(arrivals));
-  const ServeSummary s = frontend.Summarize();
-  FillCommonMetrics(s, result);
   if (emit_series) {
     auto& series = result->series;
-    for (const RequestRecord& rec : frontend.records()) {
+    for (const RequestRecord& rec : fleet.records()) {
       if (rec.status != RequestStatus::kCompleted) continue;
       series["arrival"].push_back(rec.arrival);
       series["latency"].push_back(rec.completion - rec.arrival);

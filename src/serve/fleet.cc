@@ -17,6 +17,13 @@ namespace {
 /// on purpose: the budget should follow load shifts within a simulated run.
 constexpr size_t kNoteWindow = 64;
 
+/// \brief An admitted request waiting for its batch.
+struct Pending {
+  size_t index = 0;  // position in the arrivals vector == records_ slot
+  uint32_t row = 0;
+  double arrival = 0.0;
+};
+
 /// \brief Generation the router BELIEVES group serves at time `t`: the
 /// newest install it orchestrated whose transfers had completed. Pure
 /// (history scan), unlike GenerationRegistry::ActiveAt, so router-side
@@ -70,32 +77,27 @@ ServeFleet::ServeFleet(const ClusterSpec& cluster_spec,
     : config_(config),
       queries_(queries),
       detector_(config.detector),
-      route_rng_(Rng(config.seed).Split(0xF1EE7ULL)),
-      base_spec_(cluster_spec) {
+      route_rng_(Rng(config.seed).Split(0xF1EE7ULL)) {
   COLSGD_CHECK_OK(FleetConfig::Validate(config));
   COLSGD_CHECK(queries != nullptr);
-  if (!config.routing) {
-    // Single group, no routing tier: delegate to the plain frontend, which
-    // reproduces the pre-fleet serving plane bitwise by construction.
-    delegate_ =
-        std::make_unique<ServeFrontend>(cluster_spec, config.serve, queries);
-    return;
-  }
   // The router is the master node; group g owns the contiguous worker block
-  // [g*(S+1), (g+1)*(S+1)): frontend first, then its S shard servers. One
-  // extra endpoint is the client ingress.
+  // [g*(S+1), (g+1)*(S+1)): frontend first, then its S shard servers.
+  // Without routing, the single frontend is the master node and shard k is
+  // worker k. One extra endpoint is the client ingress.
   const int shards_per_group = config.serve.num_shards;
+  const int first_shard = config.routing ? 1 : 0;
   ClusterSpec spec = cluster_spec;
-  spec.num_workers = config.replicas * (shards_per_group + 1);
+  spec.num_workers = config.replicas * (shards_per_group + first_shard);
   runtime_ = std::make_unique<ClusterRuntime>(spec, /*extra_nodes=*/1);
   ingress_ = runtime_->extra_node(0);
   for (int g = 0; g < config.replicas; ++g) {
-    const int base = g * (shards_per_group + 1);
-    const NodeId frontend = runtime_->worker_node(base);
+    const int base = g * (shards_per_group + first_shard);
+    const NodeId frontend =
+        config.routing ? runtime_->worker_node(base) : runtime_->master();
     std::vector<NodeId> shards;
     shards.reserve(static_cast<size_t>(shards_per_group));
     for (int k = 0; k < shards_per_group; ++k) {
-      shards.push_back(runtime_->worker_node(base + 1 + k));
+      shards.push_back(runtime_->worker_node(base + first_shard + k));
     }
     groups_.push_back(std::make_unique<ShardGroup>(
         runtime_.get(), frontend, std::move(shards), config.serve, queries));
@@ -113,10 +115,8 @@ ServeFleet::~ServeFleet() = default;
 
 Status ServeFleet::Install(const SavedModel& model,
                            int64_t trained_iterations) {
-  if (delegate_ != nullptr) {
-    return delegate_->Install(model, trained_iterations);
-  }
-  if (installed_) {
+  if (!config_.routing) return groups_[0]->Install(model, trained_iterations);
+  if (groups_[0]->has_model()) {
     return Status::FailedPrecondition(
         "a model is already installed; use ScheduleSwap");
   }
@@ -157,15 +157,15 @@ Status ServeFleet::Install(const SavedModel& model,
   }
   model_name_ = model.model_name;
   num_features_ = model.num_features;
-  installed_ = true;
   return Status::OK();
 }
 
 void ServeFleet::ScheduleSwapImage(double time, std::vector<uint8_t> image,
                                    int64_t trained_iterations) {
   COLSGD_CHECK(!ran_) << "schedule swaps before Run";
-  if (delegate_ != nullptr) {
-    delegate_->ScheduleSwapImage(time, std::move(image), trained_iterations);
+  if (!config_.routing) {
+    // The single frontend validates the image itself when the swap fires.
+    groups_[0]->ScheduleSwapImage(time, std::move(image), trained_iterations);
     return;
   }
   ScheduledFleetSwap swap;
@@ -182,11 +182,6 @@ void ServeFleet::ScheduleSwap(double time, const SavedModel& model,
 
 void ServeFleet::ScheduleShardFailure(double time, int group, int shard) {
   COLSGD_CHECK(!ran_) << "schedule failures before Run";
-  if (delegate_ != nullptr) {
-    COLSGD_CHECK_EQ(group, 0);
-    delegate_->ScheduleShardFailure(time, shard);
-    return;
-  }
   COLSGD_CHECK_GE(group, 0);
   COLSGD_CHECK_LT(group, config_.replicas);
   groups_[static_cast<size_t>(group)]->ScheduleShardFailure(time, shard);
@@ -194,8 +189,7 @@ void ServeFleet::ScheduleShardFailure(double time, int group, int shard) {
 
 void ServeFleet::ScheduleGroupFailure(double time, int group) {
   COLSGD_CHECK(!ran_) << "schedule failures before Run";
-  COLSGD_CHECK(delegate_ == nullptr)
-      << "whole-group loss needs the routing tier";
+  COLSGD_CHECK(config_.routing) << "whole-group loss needs the routing tier";
   COLSGD_CHECK_GE(group, 0);
   COLSGD_CHECK_LT(group, config_.replicas);
   // Every shard dies with the frontend; the shard deaths are what the
@@ -502,7 +496,6 @@ void ServeFleet::ProcessSwapEvent(ScheduledFleetSwap* swap) {
     }
     return;
   }
-  ++swaps_completed_;
   const SavedModel& model = parsed.ValueOrDie();
   double last_done = start;
   for (auto& group : groups_) {
@@ -578,9 +571,10 @@ void ServeFleet::ProcessGroupLossDetection(ScheduledGroupLoss* loss) {
 }
 
 Status ServeFleet::Run(const std::vector<ServeRequest>& arrivals) {
-  if (delegate_ != nullptr) return delegate_->Run(arrivals);
   if (ran_) return Status::FailedPrecondition("Run may be called once");
-  if (!installed_) return Status::FailedPrecondition("no model installed");
+  if (!groups_[0]->has_model()) {
+    return Status::FailedPrecondition("no model installed");
+  }
   for (size_t i = 0; i < arrivals.size(); ++i) {
     if (i > 0 && arrivals[i].arrival < arrivals[i - 1].arrival) {
       return Status::InvalidArgument("arrivals must be sorted by time");
@@ -593,7 +587,6 @@ Status ServeFleet::Run(const std::vector<ServeRequest>& arrivals) {
 
   records_.clear();
   records_.reserve(arrivals.size());
-  infos_.assign(arrivals.size(), FleetRequestInfo{});
   for (const ServeRequest& req : arrivals) {
     RequestRecord rec;
     rec.id = req.id;
@@ -601,12 +594,112 @@ Status ServeFleet::Run(const std::vector<ServeRequest>& arrivals) {
     rec.arrival = req.arrival;
     records_.push_back(rec);
   }
+  if (config_.routing) {
+    RunRouted(arrivals);
+  } else {
+    RunUnrouted(arrivals);
+  }
+  return Status::OK();
+}
 
-  struct Pending {
-    size_t index = 0;
-    uint32_t row = 0;
-    double arrival = 0.0;
-  };
+void ServeFleet::RunUnrouted(const std::vector<ServeRequest>& arrivals) {
+  ShardGroup& group = *groups_[0];
+  const NodeId master = runtime_->master();
+  std::deque<Pending> queue;
+  size_t next = 0;
+  while (next < arrivals.size() || !queue.empty()) {
+    if (queue.empty()) {
+      // Idle: jump to the next arrival (events due before it fire first).
+      const ServeRequest& req = arrivals[next];
+      group.ProcessEventsUpTo(req.arrival);
+      queue.push_back(Pending{next, req.row, req.arrival});
+      ++next;
+      continue;
+    }
+    // Tentative dispatch moment of the batch at the head of the queue:
+    // the instant it filled, or the oldest request's deadline — but never
+    // before the frontend is free.
+    const double free_at = runtime_->clock(master);
+    double trigger;
+    if (static_cast<int64_t>(queue.size()) >= config_.serve.max_batch) {
+      trigger = queue[static_cast<size_t>(config_.serve.max_batch) - 1].arrival;
+    } else {
+      trigger = queue.front().arrival + config_.serve.max_delay;
+    }
+    const double t_dispatch = std::max(free_at, trigger);
+    // Any arrival strictly before the dispatch moment is admitted (or
+    // rejected) first; admitting may fill the batch and pull the dispatch
+    // earlier, so recompute from the top.
+    if (next < arrivals.size() && arrivals[next].arrival < t_dispatch) {
+      const ServeRequest& req = arrivals[next];
+      if (static_cast<int64_t>(queue.size()) < config_.serve.queue_capacity) {
+        queue.push_back(Pending{next, req.row, req.arrival});
+      } else {
+        // Shedding is not free: the record keeps its default kRejected
+        // status AND the frontend answers the client with one control-sized
+        // rejection, charged on the wire exactly once. The reply cannot
+        // leave before the request arrived or while earlier traffic still
+        // occupies the NIC (SendUnqueued resolves the latter).
+        const double t_send = std::max(runtime_->clock(master), req.arrival);
+        runtime_->net().SendUnqueued(master, ingress_, kRejectMessageBytes,
+                                     t_send);
+        ++reject_messages_;
+      }
+      ++next;
+      continue;
+    }
+    // Dispatch. Due swaps/failures fire first; install work may push the
+    // frontend past the trigger, which the queue segment absorbs.
+    group.ProcessEventsUpTo(t_dispatch);
+    const double t_batch = std::max(t_dispatch, runtime_->clock(master));
+    runtime_->SyncClockTo(master, t_batch);
+    const size_t take =
+        std::min(queue.size(), static_cast<size_t>(config_.serve.max_batch));
+    std::vector<Pending> batch(queue.begin(),
+                               queue.begin() + static_cast<long>(take));
+    queue.erase(queue.begin(), queue.begin() + static_cast<long>(take));
+    std::vector<uint32_t> rows;
+    rows.reserve(batch.size());
+    for (const Pending& p : batch) rows.push_back(p.row);
+    if (!group.HasDeadShards()) {
+      const BatchOutcome out = group.ServeBatch(rows, t_batch, batch_ids_);
+      group_completed_[0] += static_cast<int64_t>(batch.size());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        RequestRecord& rec = records_[batch[i].index];
+        rec.status = RequestStatus::kCompleted;
+        rec.generation = out.generation;
+        rec.score = out.scores[i];
+        rec.batch = batch_ids_;
+        rec.dispatch = out.dispatch;
+        rec.completion = out.completion;
+        rec.queue_s = out.dispatch - rec.arrival;
+        rec.scatter_s = out.scatter_end - out.dispatch;
+        rec.compute_s = out.compute_end - out.scatter_end;
+        rec.gather_s = out.completion - out.compute_end;
+      }
+    } else {
+      const BatchOutcome out = group.FailBatch(rows, t_batch);
+      for (const Pending& p : batch) {
+        RequestRecord& rec = records_[p.index];
+        rec.status = RequestStatus::kTimedOut;
+        rec.batch = batch_ids_;
+        rec.dispatch = out.dispatch;
+        rec.completion = out.completion;
+        rec.queue_s = out.dispatch - rec.arrival;
+      }
+      std::vector<FailoverRecord> recovered =
+          group.ReinstallDeadShards(out.completion);
+      for (FailoverRecord& fo : recovered) {
+        fo.requests_timed_out = static_cast<int64_t>(batch.size());
+        failovers_.push_back(fo);
+      }
+    }
+    ++batch_ids_;
+  }
+}
+
+void ServeFleet::RunRouted(const std::vector<ServeRequest>& arrivals) {
+  infos_.assign(arrivals.size(), FleetRequestInfo{});
   const NodeId router = runtime_->master();
   std::deque<Pending> queue;
   size_t next = 0;
@@ -780,48 +873,10 @@ Status ServeFleet::Run(const std::vector<ServeRequest>& arrivals) {
       }
     }
   }
-  return Status::OK();
-}
-
-const std::vector<RequestRecord>& ServeFleet::records() const {
-  if (delegate_ != nullptr) return delegate_->records();
-  return records_;
-}
-
-const std::vector<FailoverRecord>& ServeFleet::failovers() const {
-  if (delegate_ != nullptr) return delegate_->failovers();
-  return failovers_;
-}
-
-ClusterRuntime& ServeFleet::runtime() {
-  if (delegate_ != nullptr) return delegate_->runtime();
-  return *runtime_;
-}
-
-void ServeFleet::set_tracer(Tracer* tracer) {
-  if (delegate_ != nullptr) {
-    delegate_->set_tracer(tracer);
-    return;
-  }
-  runtime_->set_tracer(tracer);
-}
-
-void ServeFleet::set_critpath(CritPathRecorder* critpath) {
-  if (delegate_ != nullptr) {
-    delegate_->set_critpath(critpath);
-    return;
-  }
-  runtime_->set_critpath(critpath);
 }
 
 FleetSummary ServeFleet::Summarize() const {
   FleetSummary s;
-  if (delegate_ != nullptr) {
-    static_cast<ServeSummary&>(s) = delegate_->Summarize();
-    s.replicas = 1;
-    s.group_completed = {s.completed};
-    return s;
-  }
   s.replicas = config_.replicas;
   s.offered = static_cast<int64_t>(records_.size());
   std::vector<double> latencies;
@@ -870,8 +925,17 @@ FleetSummary ServeFleet::Summarize() const {
       s.completed > 0
           ? static_cast<double>(s.wire_bytes) / static_cast<double>(s.completed)
           : 0.0;
-  s.swaps_completed = swaps_completed_;
-  s.swaps_failed = swaps_failed_;
+  // Every valid image installs on every group, group 0 included; a routed
+  // fleet's corrupt images stop at the router, the single frontend's land
+  // in its history as failed installs.
+  for (const GenerationInfo& info : groups_[0]->registry().history()) {
+    if (!info.ok) {
+      ++s.swaps_failed;
+    } else if (info.generation > 0) {
+      ++s.swaps_completed;  // generation 0 is bring-up, not a swap
+    }
+  }
+  s.swaps_failed += swaps_failed_;
   for (const auto& group : groups_) {
     s.swap_stall_seconds += group->swap_stall_seconds();
   }
@@ -895,7 +959,6 @@ FleetSummary ServeFleet::Summarize() const {
 }
 
 uint64_t ServeFleet::Fingerprint() const {
-  if (delegate_ != nullptr) return delegate_->Fingerprint();
   uint32_t crc = 0;
   for (size_t i = 0; i < records_.size(); ++i) {
     const RequestRecord& rec = records_[i];
@@ -907,6 +970,7 @@ uint64_t ServeFleet::Fingerprint() const {
     crc = ExtendCrc32c(crc, &score_bits, sizeof(score_bits));
     const uint64_t completion_bits = CanonicalDoubleBits(rec.completion);
     crc = ExtendCrc32c(crc, &completion_bits, sizeof(completion_bits));
+    if (!config_.routing) continue;
     const FleetRequestInfo& info = infos_[i];
     const int32_t group = info.group;
     crc = ExtendCrc32c(crc, &group, sizeof(group));

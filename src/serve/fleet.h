@@ -1,5 +1,6 @@
-// Replicated serving fleet: R shard groups behind a health-routed,
-// hedging router (DESIGN.md §17).
+// The serving plane: R shard groups behind a health-routed, hedging router
+// (DESIGN.md §17), or, with routing off, one group behind the single
+// frontend's admission loop (DESIGN.md §13).
 //
 // Topology on one shared ClusterRuntime: the router runs on the master
 // (node 0); group g owns a contiguous block of worker nodes — its frontend
@@ -40,13 +41,23 @@
 // bulk traffic (scatter/gather/installs) stays on the queued path, where
 // per-group serialization keeps call order chronological.
 //
-// With routing disabled (requires replicas == 1) the fleet delegates to a
-// plain ServeFrontend — bitwise PR 5 behavior by construction.
+// With routing disabled (requires replicas == 1) there is no router tier:
+// group 0's frontend is the master node, shard k is worker k, and Run
+// drives the group with the single frontend's admission loop. A batch
+// dispatches when it fills to max_batch requests or the oldest admitted
+// request has waited max_delay, whichever is earlier — but never before
+// the frontend is free (it serves one batch at a time). Requests take no
+// route hop, completion note or response hop, and a batch that hits a dead
+// shard times out instead of re-dispatching, so this is a different
+// protocol from a routed fleet of one group, not a special case of it.
 //
-// The run is bit-deterministic in (config, arrivals, scheduled events):
-// route and hedge decisions draw from a dedicated seeded RNG stream, and
-// Fingerprint() extends the frontend's response hash with the serving
-// group and attempt count of every request.
+// Either way, per completed request the end-to-end latency decomposes
+// exactly into queue / scatter / compute / gather segments
+// (tests/serve_test.cc pins the tiling to 1e-9), and the run is
+// bit-deterministic in (config, arrivals, scheduled events): route and
+// hedge decisions draw from a dedicated seeded RNG stream, attaching a
+// Tracer changes no simulated timestamp, and Fingerprint() hashes every
+// response.
 #ifndef COLSGD_SERVE_FLEET_H_
 #define COLSGD_SERVE_FLEET_H_
 
@@ -59,7 +70,6 @@
 #include "cluster/cluster.h"
 #include "cluster/fault/failure_detector.h"
 #include "common/rng.h"
-#include "serve/frontend.h"
 #include "serve/frontend_types.h"
 #include "serve/group.h"
 #include "serve/workload.h"
@@ -69,7 +79,7 @@ namespace colsgd {
 struct FleetConfig {
   int replicas = 2;          // R: number of shard groups
   ServeConfig serve;         // per-group shape (shards, batching, SLO)
-  bool routing = true;       // false: delegate to ServeFrontend (R == 1)
+  bool routing = true;       // false: the single frontend (R == 1)
   bool hedging = true;
   double hedge_quantile = 0.95;  // note round-trip quantile the budget tracks
   double hedge_factor = 2.0;     // budget = factor x quantile
@@ -115,55 +125,69 @@ class ServeFleet {
 
   /// \brief Installs the initial model (generation 0) on every group,
   /// charging the image distribution and per-group bring-up transfers.
+  /// Must be called once before Run; rejects unservable models and
+  /// dimension mismatches.
   Status Install(const SavedModel& model, int64_t trained_iterations = 0);
 
-  /// \brief Schedules a coordinated hot swap: at `time` the router
-  /// CRC-validates the image ONCE, then ships it to every group; each group
-  /// flips when its own install completes (double-buffered, batches in
-  /// flight keep their pinned generation). A corrupt image is rejected at
-  /// the router and no group is touched.
+  /// \brief Schedules a hot swap at `time` (or, without routing, the next
+  /// batch boundary after it). With routing, the router CRC-validates the
+  /// image ONCE, then ships it to every group; a corrupt image is rejected
+  /// at the router and no group is touched. Without routing, the single
+  /// frontend validates, shards and ships it itself. Each group flips when
+  /// its own install completes: in-flight and queued requests are never
+  /// dropped, and batches dispatched before the flip keep scoring against
+  /// the previous generation (double-buffered).
   void ScheduleSwapImage(double time, std::vector<uint8_t> image,
                          int64_t trained_iterations);
   void ScheduleSwap(double time, const SavedModel& model,
                     int64_t trained_iterations);
 
-  /// \brief Schedules one shard of one group to die (group-local failover,
-  /// PR 5 semantics, plus router re-dispatch of the failed batch).
+  /// \brief Schedules one shard of one group to die. The group learns of
+  /// it when a batch's gather times out, then re-installs the active
+  /// generation's partition on the replacement; with routing, the router
+  /// re-dispatches the failed batch, without it the batch's requests time
+  /// out — never a wrong answer.
   void ScheduleShardFailure(double time, int group, int shard);
 
-  /// \brief Schedules a whole-group loss at `time`: every shard and the
-  /// group's frontend die together. The router learns of it only after the
-  /// heartbeat window (FailureDetector::WorkerDetectionDelay), drains the
-  /// group's outstanding batches to survivors, and re-installs the group.
+  /// \brief Schedules a whole-group loss at `time` (routing only): every
+  /// shard and the group's frontend die together. The router learns of it
+  /// only after the heartbeat window
+  /// (FailureDetector::WorkerDetectionDelay), drains the group's
+  /// outstanding batches to survivors, and re-installs the group.
   void ScheduleGroupFailure(double time, int group);
 
-  /// \brief Serves `arrivals` (sorted by time) to completion. Scheduled
-  /// swaps and group-loss detections drain even when the workload finishes
-  /// first, so the fleet returns at a healthy steady state with every
-  /// scheduled fault accounted.
+  /// \brief Serves `arrivals` (sorted by time) to completion. With routing,
+  /// scheduled swaps and group-loss detections drain even when the workload
+  /// finishes first, so the fleet returns at a healthy steady state with
+  /// every scheduled fault accounted.
   Status Run(const std::vector<ServeRequest>& arrivals);
 
-  const std::vector<RequestRecord>& records() const;
-  /// \brief Routing story per request, parallel to records(). Empty in the
-  /// routing-disabled delegation path.
+  const std::vector<RequestRecord>& records() const { return records_; }
+  /// \brief Routing story per request, parallel to records(). Empty
+  /// without routing.
   const std::vector<FleetRequestInfo>& request_infos() const {
     return infos_;
   }
-  const std::vector<FailoverRecord>& failovers() const;
+  const std::vector<FailoverRecord>& failovers() const { return failovers_; }
 
   FleetSummary Summarize() const;
 
-  /// \brief CRC32C over every response (id, status, generation, score,
-  /// completion — as ServeFrontend) extended with the serving group and
-  /// attempt count. Equal across runs of the same seed.
+  /// \brief CRC32C over every response (id, status, generation, score bits,
+  /// completion bits) in arrival order; with routing, each response also
+  /// folds in its serving group, attempt count and hedged flag. Equal
+  /// across runs of the same seed.
   uint64_t Fingerprint() const;
 
-  ClusterRuntime& runtime();
+  ClusterRuntime& runtime() { return *runtime_; }
   /// \brief Group `g`'s executor (registries and generations for tests).
   const ShardGroup& group(int g) const { return *groups_[g]; }
+  /// \brief The client-ingress endpoint responses and rejection replies
+  /// are charged to.
   NodeId ingress() const { return ingress_; }
-  void set_tracer(Tracer* tracer);
-  void set_critpath(CritPathRecorder* critpath);
+  void set_tracer(Tracer* tracer) { runtime_->set_tracer(tracer); }
+  void set_critpath(CritPathRecorder* critpath) {
+    runtime_->set_critpath(critpath);
+  }
 
  private:
   static constexpr double kNever = std::numeric_limits<double>::infinity();
@@ -225,6 +249,11 @@ class ServeFleet {
   /// \brief Current hedge budget, or kNever while the window warms up.
   double HedgeBudget();
 
+  /// \brief The router's event loop over the filled records_.
+  void RunRouted(const std::vector<ServeRequest>& arrivals);
+  /// \brief The single frontend's admission loop on group 0.
+  void RunUnrouted(const std::vector<ServeRequest>& arrivals);
+
   FleetConfig config_;
   std::unique_ptr<ClusterRuntime> runtime_;
   std::vector<std::unique_ptr<ShardGroup>> groups_;
@@ -233,13 +262,8 @@ class ServeFleet {
   FailureDetector detector_;
   Rng route_rng_;
 
-  // Delegation path (routing == false): bitwise PR 5 single frontend.
-  std::unique_ptr<ServeFrontend> delegate_;
-  ClusterSpec base_spec_;
-
   std::string model_name_;     // router-side validation anchor
   uint64_t num_features_ = 0;
-  bool installed_ = false;
 
   std::vector<ScheduledFleetSwap> fleet_swaps_;
   std::vector<ScheduledGroupLoss> group_losses_;
@@ -259,8 +283,7 @@ class ServeFleet {
   std::vector<int64_t> group_completed_;
   int64_t batch_ids_ = 0;
   int64_t reject_messages_ = 0;
-  int64_t swaps_completed_ = 0;
-  int64_t swaps_failed_ = 0;
+  int64_t swaps_failed_ = 0;           // rejected at the router
   int64_t hedges_fired_ = 0;
   int64_t hedge_wins_ = 0;
   int64_t hedges_cancelled_ = 0;

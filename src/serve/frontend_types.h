@@ -1,7 +1,6 @@
 // Shared serving-plane types: configuration, per-request records, failover
-// records, and run summaries (DESIGN.md §13, §17). Split out of frontend.h
-// so the shard-group executor (serve/group.h), the single frontend
-// (serve/frontend.h), and the replicated fleet (serve/fleet.h) share them.
+// records, and run summaries (DESIGN.md §13, §17), used by the shard-group
+// executor (serve/group.h) and the fleet that drives it (serve/fleet.h).
 #ifndef COLSGD_SERVE_FRONTEND_TYPES_H_
 #define COLSGD_SERVE_FRONTEND_TYPES_H_
 

@@ -4,12 +4,12 @@
 // node plus `num_shards` shard-server nodes on a shared ClusterRuntime. It
 // owns the group's generation registry (double-buffered hot swap), the
 // shard liveness state, and the scatter/compute/gather execution of one
-// batch, charging exactly the bytes and flops of PR 5's single-frontend
-// plane — ServeFrontend is one ShardGroup driven by an admission queue,
-// and the replicated fleet (serve/fleet.h) is R of them behind a router.
+// batch, charging exactly the bytes and flops of the single-frontend plane.
+// The fleet (serve/fleet.h) drives one group with the single frontend's
+// admission loop, or R of them behind a router.
 //
 // The group is deliberately passive: it has no event loop. The caller
-// (frontend or fleet router) decides when a batch is ready and calls
+// (admission loop or fleet router) decides when a batch is ready and calls
 // ServeBatch/FailBatch; scheduled swaps and shard failures fire through
 // ProcessEventsUpTo exactly as simulated time passes them.
 #ifndef COLSGD_SERVE_GROUP_H_
@@ -97,10 +97,6 @@ class ShardGroup {
   std::vector<int> DeadShards() const;
   bool HasDeadShards() const { return !DeadShards().empty(); }
 
-  /// \brief Generation a batch dispatched at `t` would be pinned to (flips
-  /// any install that completed by then, like execution would).
-  int64_t ActiveGenerationAt(double t) { return registry_.ActiveAt(t); }
-
   /// \brief Makes this a straggled group: every served batch takes
   /// `level` x its task time EXTRA — the paper's straggler definition
   /// (cluster/fault/fault_plan.h), applied to the whole serve path since a
@@ -109,7 +105,6 @@ class ShardGroup {
   void set_straggle_level(double level) { straggle_level_ = level; }
 
   NodeId frontend() const { return frontend_; }
-  const std::vector<NodeId>& shard_nodes() const { return shards_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const GenerationRegistry& registry() const { return registry_; }
   const ModelSpec& spec() const { return *spec_; }

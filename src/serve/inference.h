@@ -6,7 +6,7 @@
 // ComputePartialStats used in training), the partials reduce element-wise,
 // and ModelSpec::ScoreFromStats turns the aggregated statistics into the
 // decision value. Because the split/score math lives here — and nowhere
-// else — the online serving plane (serve/frontend.h) and the offline
+// else — the online serving plane (serve/fleet.h) and the offline
 // colsgd_predict tool cannot drift: both call ScoreShardedBatch.
 //
 // Exactness: partial statistics are additive across column partitions, so a

@@ -41,11 +41,6 @@ class GenerationRegistry {
   /// `now`; returns the id active for a batch dispatched at `now`.
   int64_t ActiveAt(double now);
 
-  /// \brief The image of the currently active generation.
-  const ShardedModelImage& active_image() const {
-    COLSGD_CHECK_GE(active_, 0) << "no model installed";
-    return images_[active_];
-  }
   const ShardedModelImage& image(int64_t generation) const {
     COLSGD_CHECK_GE(generation, 0);
     COLSGD_CHECK_LT(static_cast<size_t>(generation), images_.size());
