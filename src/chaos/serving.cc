@@ -1,14 +1,14 @@
-// The serving scenarios (DESIGN.md §13, §17). serving drives one frontend
-// (a routing-free fleet of one group, which delegates to ServeFrontend);
-// serving_fleet drives R in {2, 3} shard groups behind the health-routed,
-// hedging router, adding whole-group losses and flash crowds. Both check
-// one set of invariants:
+// The serving scenarios (DESIGN.md §13, §17). serving drives the single
+// frontend (a fleet of one group with routing off); serving_fleet drives
+// R in {2, 3} shard groups behind the health-routed, hedging router, adding
+// whole-group losses and flash crowds. Both check one set of invariants:
 //
 //   1. clean completion: the run finishes with Status::OK;
 //   2. conservation: completed + rejected + timed_out == offered;
 //   3. swap images: the swaps that fired split into valid images, each
 //      installed as the next generation on every group, and bit-rotted
-//      ones, each rejected with nothing installed;
+//      ones, each rejected with nothing installed — checked position by
+//      position against every group's generation history;
 //   4. no wrong answers: every completed response is bitwise equal to the
 //      offline kernel's score for its row under the one generation it
 //      reports, whichever group, hedge or re-dispatch produced it;
@@ -364,23 +364,37 @@ class ServingScenario : public Scenario {
                 std::to_string(summary.swaps_failed) + " rejected");
       }
     }
-    // A coordinated swap touches every group or none: the router rejects
-    // a corrupt image before any group sees it. A single frontend exposes
-    // no generation history through the fleet, so for it the swap check is
-    // the counts above plus the per-generation answer check below.
-    const int groups = fleet_ ? s.replicas : 0;
-    for (int g = 0; g < groups; ++g) {
+    // Every group's generation history, position by position: the
+    // bring-up, then one entry per fired swap the group saw, in firing
+    // order. The single frontend sees every fired swap and rejects the
+    // corrupt ones itself; a routed fleet's router rejects them before any
+    // group is touched, so its groups see only the valid images.
+    std::vector<bool> expected = {true};  // install outcomes, bring-up first
+    for (size_t i = 0; i < std::min(fired, s.swaps.size()); ++i) {
+      if (!fleet_ || !s.swaps[i].corrupt) {
+        expected.push_back(!s.swaps[i].corrupt);
+      }
+    }
+    const auto render = [](const std::vector<bool>& outcomes) {
+      std::string out;
+      for (bool ok : outcomes) out += ok ? 'v' : 'x';
+      return out;
+    };
+    for (int g = 0; g < s.replicas; ++g) {
       const std::vector<GenerationInfo>& history =
           fleet.group(g).registry().history();
-      const bool all_ok =
-          std::all_of(history.begin(), history.end(),
-                      [](const GenerationInfo& info) { return info.ok; });
-      if (!all_ok || static_cast<int64_t>(history.size()) !=
-                         summary.swaps_completed + 1) {
-        violate("group " + std::to_string(g) + " holds " +
-                std::to_string(history.size()) +
-                " install(s), not the bring-up plus " +
-                std::to_string(summary.swaps_completed) + " valid swap(s)");
+      std::vector<bool> seen;
+      int64_t next_generation = 0;
+      bool numbered = true;
+      for (const GenerationInfo& info : history) {
+        seen.push_back(info.ok);
+        numbered &= info.generation == (info.ok ? next_generation++ : -1);
+      }
+      if (seen != expected || !numbered) {
+        violate("group " + std::to_string(g) + " install history " +
+                render(seen) + " (v installed, x rejected)" +
+                (numbered ? "" : " misnumbered") + ", schedule says " +
+                render(expected));
       }
     }
 
