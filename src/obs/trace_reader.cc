@@ -1,215 +1,113 @@
 #include "obs/trace_reader.h"
 
-#include <cstdlib>
+#include <cmath>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 namespace colsgd {
+
+namespace {
+
+/// \brief `value` as an integer in [0, limit), or false.
+bool AsUint(const JsonValue& value, double limit, uint64_t* out) {
+  if (!value.is_number()) return false;
+  const double v = value.number_value();
+  if (!(v >= 0.0 && v < limit) || v != std::floor(v)) return false;
+  *out = static_cast<uint64_t>(v);
+  return true;
+}
+
+Status BadField(const std::string& key, const char* kind) {
+  return Status::InvalidArgument("trace event field \"" + key +
+                                 "\" must be " + kind);
+}
+
+Result<ParsedTraceEvent> ParseEvent(const JsonValue& item) {
+  if (!item.is_object()) {
+    return Status::InvalidArgument("trace events must be objects");
+  }
+  ParsedTraceEvent event;
+  for (const auto& [key, value] : item.members()) {
+    if (key == "name" || key == "ph") {
+      if (!value.is_string()) return BadField(key, "a string");
+      if (key == "name") {
+        event.name = value.string_value();
+      } else if (!value.string_value().empty()) {
+        event.ph = value.string_value()[0];
+      }
+    } else if (key == "pid" || key == "tid") {
+      uint64_t id = 0;
+      if (!AsUint(value, 0x1p32, &id)) return BadField(key, "a uint32");
+      (key == "pid" ? event.pid : event.tid) = static_cast<uint32_t>(id);
+    } else if (key == "ts" || key == "dur") {
+      if (!value.is_number()) return BadField(key, "a number");
+      (key == "ts" ? event.ts_us : event.dur_us) = value.number_value();
+    } else if (key == "args") {
+      if (!value.is_object()) return BadField(key, "an object");
+      for (const auto& [arg, arg_value] : value.members()) {
+        if (arg_value.is_array() || arg_value.is_object()) {
+          return BadField("args." + arg, "a scalar");
+        }
+        event.args[arg] = arg_value;
+      }
+    }
+  }
+  return event;
+}
+
+}  // namespace
 
 uint64_t ParsedTraceEvent::ArgUint(const std::string& key,
                                    uint64_t fallback) const {
   auto it = args.find(key);
-  if (it == args.end()) return fallback;
-  return std::strtoull(it->second.c_str(), nullptr, 10);
+  uint64_t value = 0;
+  if (it == args.end() || !AsUint(it->second, 0x1p64, &value)) {
+    return fallback;
+  }
+  return value;
 }
 
 double ParsedTraceEvent::ArgDouble(const std::string& key,
                                    double fallback) const {
   auto it = args.find(key);
-  if (it == args.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  if (it == args.end() || !it->second.is_number()) return fallback;
+  return it->second.number_value();
 }
 
 bool ParsedTraceEvent::ArgBool(const std::string& key, bool fallback) const {
   auto it = args.find(key);
-  if (it == args.end()) return fallback;
-  return it->second == "true";
+  if (it == args.end() || !it->second.is_bool()) return fallback;
+  return it->second.bool_value();
 }
 
-namespace {
-
-// Minimal recursive-descent JSON scanner over the subset the exporter emits:
-// objects, arrays, strings (with \" and \\ escapes), numbers, true/false/null.
-class JsonScanner {
- public:
-  explicit JsonScanner(const std::string& text) : text_(text) {}
-
-  bool failed() const { return failed_; }
-  const std::string& error() const { return error_; }
-
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\r' ||
-            text_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  char Peek() {
-    SkipWs();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  void Fail(const std::string& message) {
-    if (!failed_) {
-      failed_ = true;
-      error_ = message + " at byte " + std::to_string(pos_);
-    }
-  }
-
-  std::string ParseString() {
-    if (!Consume('"')) {
-      Fail("expected string");
-      return "";
-    }
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) c = text_[pos_++];
-      out.push_back(c);
-    }
-    if (!Consume('"')) Fail("unterminated string");
-    return out;
-  }
-
-  /// \brief A scalar as its raw token: number/true/false/null text, or the
-  /// unescaped contents of a string.
-  std::string ParseScalarToken() {
-    SkipWs();
-    if (Peek() == '"') return ParseString();
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == ',' || c == '}' || c == ']' || c == ' ' || c == '\n' ||
-          c == '\r' || c == '\t') {
-        break;
-      }
-      out.push_back(c);
-      ++pos_;
-    }
-    if (out.empty()) Fail("expected scalar");
-    return out;
-  }
-
-  /// \brief Parses a flat object of scalars into `out` (keys overwrite).
-  void ParseFlatObject(std::map<std::string, std::string>* out) {
-    if (!Consume('{')) {
-      Fail("expected object");
-      return;
-    }
-    if (Consume('}')) return;
-    do {
-      const std::string key = ParseString();
-      if (!Consume(':')) Fail("expected ':'");
-      if (failed_) return;
-      (*out)[key] = ParseScalarToken();
-    } while (Consume(',') && !failed_);
-    if (!Consume('}')) Fail("expected '}'");
-  }
-
-  /// \brief Parses one event object: scalar fields plus an optional nested
-  /// "args" object.
-  void ParseEventObject(std::map<std::string, std::string>* fields,
-                        std::map<std::string, std::string>* args) {
-    if (!Consume('{')) {
-      Fail("expected event object");
-      return;
-    }
-    if (Consume('}')) return;
-    do {
-      const std::string key = ParseString();
-      if (!Consume(':')) Fail("expected ':'");
-      if (failed_) return;
-      if (Peek() == '{') {
-        if (key == "args") {
-          ParseFlatObject(args);
-        } else {
-          std::map<std::string, std::string> ignored;
-          ParseFlatObject(&ignored);
-        }
-      } else {
-        (*fields)[key] = ParseScalarToken();
-      }
-    } while (Consume(',') && !failed_);
-    if (!Consume('}')) Fail("expected '}'");
-  }
-
- private:
-  const std::string& text_;
-  size_t pos_ = 0;
-  bool failed_ = false;
-  std::string error_;
-};
-
-}  // namespace
-
 Result<ParsedTrace> ParseChromeTraceJson(const std::string& json) {
-  JsonScanner scanner(json);
-  ParsedTrace trace;
-
-  if (!scanner.Consume('{')) {
-    return Status::InvalidArgument("trace JSON must start with '{'");
+  Result<JsonValue> parsed = ParseJson(json);
+  if (!parsed.ok()) {
+    return Status::InvalidArgument("malformed trace JSON: " +
+                                   parsed.status().message());
   }
-  bool saw_events = false;
-  do {
-    const std::string key = scanner.ParseString();
-    if (scanner.failed()) break;
-    if (!scanner.Consume(':')) {
-      return Status::InvalidArgument("malformed trace JSON: missing ':'");
-    }
-    if (key != "traceEvents") {
-      scanner.ParseScalarToken();  // e.g. displayTimeUnit
+  const JsonValue* events =
+      parsed->is_object() ? parsed->Find("traceEvents") : nullptr;
+  if (events == nullptr) {
+    return Status::InvalidArgument("trace JSON has no traceEvents array");
+  }
+  if (!events->is_array()) {
+    return Status::InvalidArgument("traceEvents must be an array");
+  }
+  ParsedTrace trace;
+  for (const JsonValue& item : events->array()) {
+    COLSGD_ASSIGN_OR_RETURN(ParsedTraceEvent event, ParseEvent(item));
+    if (event.ph == 'M') {
+      // Metadata events name the processes; they are not simulation events.
+      auto name = event.args.find("name");
+      if (event.name == "process_name" && name != event.args.end() &&
+          name->second.is_string()) {
+        trace.process_names[event.pid] = name->second.string_value();
+      }
       continue;
     }
-    saw_events = true;
-    if (!scanner.Consume('[')) {
-      return Status::InvalidArgument("traceEvents must be an array");
-    }
-    if (scanner.Consume(']')) continue;
-    do {
-      std::map<std::string, std::string> fields;
-      std::map<std::string, std::string> args;
-      scanner.ParseEventObject(&fields, &args);
-      if (scanner.failed()) break;
-
-      ParsedTraceEvent event;
-      event.name = fields.count("name") ? fields["name"] : "";
-      event.ph = fields.count("ph") && !fields["ph"].empty() ? fields["ph"][0]
-                                                             : 'i';
-      event.pid = static_cast<uint32_t>(
-          std::strtoul(fields["pid"].c_str(), nullptr, 10));
-      event.tid = static_cast<uint32_t>(
-          std::strtoul(fields["tid"].c_str(), nullptr, 10));
-      event.ts_us = std::strtod(fields["ts"].c_str(), nullptr);
-      event.dur_us = std::strtod(fields["dur"].c_str(), nullptr);
-      event.args = std::move(args);
-      if (event.ph == 'M') {
-        if (event.name == "process_name" && event.args.count("name")) {
-          trace.process_names[event.pid] = event.args["name"];
-        }
-        continue;  // metadata events are not simulation events
-      }
-      trace.events.push_back(std::move(event));
-    } while (scanner.Consume(',') && !scanner.failed());
-    if (!scanner.Consume(']')) {
-      return Status::InvalidArgument("unterminated traceEvents array");
-    }
-  } while (scanner.Consume(',') && !scanner.failed());
-
-  if (scanner.failed()) {
-    return Status::InvalidArgument("malformed trace JSON: " + scanner.error());
-  }
-  if (!saw_events) {
-    return Status::InvalidArgument("trace JSON has no traceEvents array");
+    trace.events.push_back(std::move(event));
   }
   return trace;
 }

@@ -492,6 +492,21 @@ TEST(TraceRoundTripTest, ExportedJsonParsesBackLosslessly) {
 TEST(TraceRoundTripTest, ReaderRejectsGarbage) {
   EXPECT_FALSE(ParseChromeTraceJson("not json").ok());
   EXPECT_FALSE(ParseChromeTraceJson("{\"traceEvents\":").ok());
+  // One net.send event with each field well formed, then with one field
+  // not: a bare-token number, trailing garbage, a string timestamp.
+  const std::string event =
+      "{\"name\":\"net.send\",\"ph\":\"X\",\"pid\":0,\"tid\":0,"
+      "\"dur\":1.5,";
+  EXPECT_TRUE(ParseChromeTraceJson("{\"traceEvents\":[" + event +
+                                   "\"ts\":2,\"args\":{\"bytes\":12}}]}")
+                  .ok());
+  for (const std::string& bad :
+       {"{\"traceEvents\":[" + event + "\"ts\":2,\"args\":{\"bytes\":12abc}}]}",
+        "{\"traceEvents\":[" + event + "\"ts\":2,\"args\":{}}]} garbage",
+        "{\"traceEvents\":[" + event + "\"ts\":\"abc\",\"args\":{}}]}"}) {
+    const Result<ParsedTrace> parsed = ParseChromeTraceJson(bad);
+    EXPECT_TRUE(parsed.status().IsInvalidArgument()) << bad;
+  }
 }
 
 }  // namespace
