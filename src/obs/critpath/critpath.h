@@ -171,11 +171,6 @@ class CritPathRecorder {
   CritTerm StampTerm(int64_t stamp, double add_seconds = 0.0,
                      int32_t add_node = -1) const;
 
-  bool attached() const { return !now_.empty(); }
-  double now(uint32_t node) const { return now_[node]; }
-  size_t num_ops() const { return ops_.size(); }
-  double stamp_value(int64_t id) const { return ops_[stamps_[id]].t; }
-
   /// \brief Copies the log into a self-contained, serializable snapshot.
   CritDag Snapshot() const;
 

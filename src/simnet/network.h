@@ -151,9 +151,6 @@ class SimNetwork {
     return arrival;
   }
 
-  /// \brief Local loopback: no network cost, no stats.
-  SimTime LocalDeliver(SimTime sender_time) const { return sender_time; }
-
   const TrafficStats& stats(NodeId node) const {
     COLSGD_CHECK_LT(node, stats_.size());
     return stats_[node];
