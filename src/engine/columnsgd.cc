@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/host_memory.h"
 #include "common/logging.h"
 #include "linalg/dense.h"
 
@@ -32,8 +33,8 @@ void ColumnSgdEngine::InitGroupModel(int group, GroupState* state) {
   state->weights =
       InitialWeights(*model_, *partitioner_, group, config_.seed);
   state->optimizer = MakeOptimizer(config_.optimizer, config_.learning_rate);
-  state->opt_state.assign(
-      state->weights.size() * state->optimizer->state_per_slot(), 0.0);
+  state->opt_state =
+      ModelArray(state->weights.size() * state->optimizer->state_per_slot());
   state->grad = std::make_unique<GradAccumulator>(
       state->weights.size(), model_->weights_per_feature());
 }

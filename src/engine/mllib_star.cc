@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/host_memory.h"
 #include "engine/row_sampling.h"
 
 namespace colsgd {
@@ -51,13 +52,19 @@ Status MllibStarEngine::Setup(const Dataset& dataset) {
     return Status::OutOfMemory("MLlib* replica does not fit on a worker");
   }
 
-  replicas_.assign(K, InitialWeights(*model_, num_features_, config_.seed));
+  // K copies of one initial model, each in storage of its own from
+  // ModelArray (a copy-constructed vector would not be advised).
+  const std::vector<double> initial =
+      InitialWeights(*model_, num_features_, config_.seed);
+  replicas_.clear();
   optimizers_.clear();
   opt_states_.clear();
   for (int k = 0; k < K; ++k) {
+    replicas_.push_back(ModelArray(slots));
+    std::copy(initial.begin(), initial.end(), replicas_.back().begin());
     optimizers_.push_back(
         MakeOptimizer(config_.optimizer, config_.learning_rate));
-    opt_states_.emplace_back(slots * optimizers_[k]->state_per_slot(), 0.0);
+    opt_states_.push_back(ModelArray(slots * optimizers_[k]->state_per_slot()));
   }
   grad_ = std::make_unique<GradAccumulator>(slots, wpf);
   terms_ = std::make_unique<GradTerms>(wpf);
@@ -105,7 +112,7 @@ void MllibStarEngine::RingAllReduceAverage(int64_t iteration) {
   if (K == 1) return;
 
   // Semantics: replace every replica with the element-wise average.
-  std::vector<double> avg(slots, 0.0);
+  std::vector<double> avg = ModelArray(slots);
   for (const auto& replica : replicas_) {
     for (uint64_t i = 0; i < slots; ++i) avg[i] += replica[i];
   }

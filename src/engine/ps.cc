@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/check.h"
+#include "common/host_memory.h"
 #include "engine/row_sampling.h"
 
 namespace colsgd {
@@ -86,12 +87,17 @@ Status PsEngine::Setup(const Dataset& dataset) {
   const uint64_t slots = num_features_ * wpf;
   weights_ = InitialWeights(*model_, num_features_, config_.seed);
   optimizer_ = MakeOptimizer(config_.optimizer, config_.learning_rate);
-  opt_state_.assign(slots * optimizer_->state_per_slot(), 0.0);
+  opt_state_ = ModelArray(slots * optimizer_->state_per_slot());
   steps_.assign(partitions_.size(), RowWorkerStep(wpf));
 
   if (config_.ssp.enabled) {
+    // Each ring slot is sized once here, so the snapshot copies reuse its
+    // (advised) storage.
     const size_t ring = static_cast<size_t>(config_.ssp.slack) + 2;
-    ssp_snapshots_.assign(ring, {});
+    ssp_snapshots_.clear();
+    for (size_t i = 0; i < ring; ++i) {
+      ssp_snapshots_.push_back(ModelArray(weights_.size()));
+    }
     ssp_snapshot_version_.assign(ring, std::numeric_limits<int64_t>::min());
     ssp_applied_time_.assign(K, {});
     ssp_stamp_ids_.assign(K, {});
@@ -148,13 +154,6 @@ size_t PsEngine::WorkerBatchSize(int worker) const {
   const size_t K = partitions_.size();
   return config_.batch_size / K +
          (static_cast<size_t>(worker) < config_.batch_size % K ? 1 : 0);
-}
-
-std::vector<uint64_t> PsEngine::KeysPerServer(
-    const RowWorkerStep& step) const {
-  std::vector<uint64_t> keys(partitions_.size(), 0);
-  for (uint32_t f : step.features) keys[shard_map_->Owner(f)]++;
-  return keys;
 }
 
 std::vector<uint8_t> PsEngine::SerializeShardSlice(int p) const {
@@ -308,15 +307,17 @@ Status PsEngine::DoRunIteration(int64_t iteration) {
   // the key set depends on the batch content), and its gradient is taken
   // against the pulled (current) model, which nothing changes before the
   // apply. Phases 1-4 only charge it, in partition order.
-  std::vector<std::vector<uint64_t>> keys_per_shard(G);
   ForEachWorker(G, [&](int p) {
     RowWorkerStep& step = steps_[p];
     step.Draw(partitions_[p], partition_rows_[p], WorkerBatchSize(p),
               WorkerIterationRng(config_.seed, iteration, p),
-              options_.sparse_pull);
-    keys_per_shard[p] = KeysPerServer(step);
+              options_.sparse_pull ? G : 0);
     step.ForwardGrad(*model_, weights_, G);
   });
+  // Sparse pull: distinct keys of partition p's batch on shard s.
+  auto keys_per_shard = [&](int p, int s) {
+    return steps_[p].keys.counts()[static_cast<size_t>(s)];
+  };
 
   // Phase 1: all pull requests go out (asynchronously, pipelining on each
   // worker's outbound NIC), from each partition's owner to each shard's.
@@ -324,10 +325,10 @@ Status PsEngine::DoRunIteration(int64_t iteration) {
     const int rank = PartitionOwner(p);
     const NodeId node = runtime_->worker_node(rank);
     for (int s = 0; s < G; ++s) {
-      if (options_.sparse_pull && keys_per_shard[p][s] == 0) continue;
+      if (options_.sparse_pull && keys_per_shard(p, s) == 0) continue;
       const uint64_t request_bytes =
           kRequestHeaderBytes + (options_.sparse_pull
-                                     ? keys_per_shard[p][s] * sizeof(uint32_t)
+                                     ? keys_per_shard(p, s) * sizeof(uint32_t)
                                      : 0);
       const int server_host = PartitionOwner(s);
       transfer(node, runtime_->extra_node(server_host), request_bytes,
@@ -345,10 +346,10 @@ Status PsEngine::DoRunIteration(int64_t iteration) {
       uint64_t reply_bytes;
       uint64_t server_keys;
       if (options_.sparse_pull) {
-        if (keys_per_shard[p][s] == 0) continue;
+        if (keys_per_shard(p, s) == 0) continue;
         reply_bytes = kRequestHeaderBytes +
-                      keys_per_shard[p][s] * sizeof(double) * wpf;
-        server_keys = keys_per_shard[p][s];
+                      keys_per_shard(p, s) * sizeof(double) * wpf;
+        server_keys = keys_per_shard(p, s);
       } else {
         reply_bytes = kRequestHeaderBytes +
                       shard_map_->LocalDim(s) * wpf * sizeof(double);
@@ -396,11 +397,11 @@ Status PsEngine::DoRunIteration(int64_t iteration) {
       uint64_t push_bytes;
       uint64_t server_keys;
       if (options_.sparse_pull) {
-        if (keys_per_shard[p][s] == 0) continue;
+        if (keys_per_shard(p, s) == 0) continue;
         push_bytes =
             kRequestHeaderBytes +
-            keys_per_shard[p][s] * (sizeof(uint32_t) + sizeof(double) * wpf);
-        server_keys = keys_per_shard[p][s];
+            keys_per_shard(p, s) * (sizeof(uint32_t) + sizeof(double) * wpf);
+        server_keys = keys_per_shard(p, s);
       } else {
         push_bytes = kRequestHeaderBytes +
                      shard_map_->LocalDim(s) * wpf * sizeof(double);
@@ -471,7 +472,6 @@ Status PsEngine::DoRunIterationSsp(int64_t iteration) {
   // and the shard's per-version apply times — not the server's scalar clock,
   // which under SSP is the shard's apply timeline.
   SimTime last_compute_start = dispatch_end;
-  std::vector<std::vector<uint64_t>> keys_per_server(K);
   std::vector<SimTime> push_arrival(K, 0.0);  // newest push seen per server
   std::vector<uint64_t> push_keys(K, 0);      // lookup work queued per server
   std::vector<std::vector<CritTerm>> server_push_terms(K);
@@ -485,8 +485,9 @@ Status PsEngine::DoRunIterationSsp(int64_t iteration) {
     RowWorkerStep& step = steps_[w];
     step.Draw(partitions_[w], partition_rows_[w], WorkerBatchSize(w),
               WorkerIterationRng(config_.seed, iteration, w),
-              options_.sparse_pull);
-    keys_per_server[w] = KeysPerServer(step);
+              options_.sparse_pull ? K : 0);
+    // Sparse pull: keys[s] distinct keys of the batch on shard s.
+    const std::vector<uint64_t>& keys = step.keys.counts();
 
     // Phases 1+2: pulls. The reply may not leave shard s before s has
     // applied the gate version; it serves the newest version applied by its
@@ -496,15 +497,14 @@ Status PsEngine::DoRunIterationSsp(int64_t iteration) {
     std::vector<CritTerm> ready_terms;
     int64_t version = iteration - 1;
     for (int s = 0; s < K; ++s) {
-      if (options_.sparse_pull && keys_per_server[w][s] == 0) continue;
+      if (options_.sparse_pull && keys[s] == 0) continue;
       uint64_t request_bytes = kRequestHeaderBytes;
       uint64_t reply_bytes;
       uint64_t server_keys;
       if (options_.sparse_pull) {
-        request_bytes += keys_per_server[w][s] * sizeof(uint32_t);
-        reply_bytes = kRequestHeaderBytes +
-                      keys_per_server[w][s] * sizeof(double) * wpf;
-        server_keys = keys_per_server[w][s];
+        request_bytes += keys[s] * sizeof(uint32_t);
+        reply_bytes = kRequestHeaderBytes + keys[s] * sizeof(double) * wpf;
+        server_keys = keys[s];
       } else {
         reply_bytes = kRequestHeaderBytes +
                       shard_map_->LocalDim(s) * wpf * sizeof(double);
@@ -627,11 +627,10 @@ Status PsEngine::DoRunIterationSsp(int64_t iteration) {
       uint64_t push_bytes;
       uint64_t server_keys;
       if (options_.sparse_pull) {
-        if (keys_per_server[w][s] == 0) continue;
-        push_bytes =
-            kRequestHeaderBytes +
-            keys_per_server[w][s] * (sizeof(uint32_t) + sizeof(double) * wpf);
-        server_keys = keys_per_server[w][s];
+        if (keys[s] == 0) continue;
+        push_bytes = kRequestHeaderBytes +
+                     keys[s] * (sizeof(uint32_t) + sizeof(double) * wpf);
+        server_keys = keys[s];
       } else {
         push_bytes = kRequestHeaderBytes +
                      shard_map_->LocalDim(s) * wpf * sizeof(double);

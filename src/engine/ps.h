@@ -86,9 +86,6 @@ class PsEngine : public ElasticEngine {
 
  private:
   size_t WorkerBatchSize(int worker) const;
-  /// \brief Distinct keys of `step`'s batch per server shard (sparse pull;
-  /// empty for dense pulls).
-  std::vector<uint64_t> KeysPerServer(const RowWorkerStep& step) const;
 
   std::vector<uint8_t> SerializeShardSlice(int p) const;
   /// \brief Worker `rank` re-reads data partition p from stable storage.

@@ -20,28 +20,43 @@ constexpr size_t kApplyPrefetchBlocks = 8;
 
 }  // namespace
 
+void ShardKeyCounter::Reset(int num_shards) {
+  COLSGD_CHECK_GE(num_shards, 0);
+  counts_.assign(static_cast<size_t>(num_shards), 0);
+  size_ = 0;
+  if (++epoch_ == 0) {  // wrapped: clear every entry a stale epoch left
+    std::fill(table_.begin(), table_.end(), Entry{});
+    epoch_ = 1;
+  }
+}
+
+void ShardKeyCounter::Grow() {
+  std::vector<Entry> old(2 * table_.size());
+  old.swap(table_);
+  --shift_;
+  for (const Entry& entry : old) {
+    if (entry.epoch == epoch_) table_[Probe(entry.feature)] = entry;
+  }
+}
+
 void RowWorkerStep::Draw(const std::vector<RowBlock>& blocks,
                          uint64_t total_rows, size_t local_batch, Rng rng,
-                         bool list_features) {
+                         int key_shards) {
   batch.rows.clear();
   batch.labels.clear();
-  features.clear();
+  keys.Reset(key_shards);
   flops.Reset();
   for (size_t i = 0; i < local_batch; ++i) {
     const LocalRowSample sample = DrawLocalRow(blocks, total_rows, &rng);
     batch.rows.push_back(sample.row);
     batch.labels.push_back(sample.label);
-    if (list_features) {
-      features.insert(features.end(), sample.row.indices,
-                      sample.row.indices + sample.row.nnz);
+    if (key_shards > 0) {
+      for (size_t k = 0; k < sample.row.nnz; ++k) {
+        keys.Insert(sample.row.indices[k]);
+      }
     }
   }
   flops.Add(kSampleFlops * local_batch);
-  if (list_features) {
-    std::sort(features.begin(), features.end());
-    features.erase(std::unique(features.begin(), features.end()),
-                   features.end());
-  }
 }
 
 void RowWorkerStep::ForwardGrad(const ModelSpec& spec,
@@ -85,8 +100,6 @@ size_t ShardedUpdate::Apply(const std::vector<RowWorkerStep>& steps,
     COLSGD_CHECK_EQ(steps[w].terms.width(), wpf);
     offset[w + 1] = offset[w] + steps[w].terms.size();
   }
-  first_sq_.resize(offset.back() * width);
-  is_first_.assign(offset.back(), 0);
   if (shards_.size() != num_shards ||
       shards_[0].grad.num_slots() != weights->size() ||
       shards_[0].grad.width() != wpf) {
@@ -103,6 +116,7 @@ size_t ShardedUpdate::Apply(const std::vector<RowWorkerStep>& steps,
         for (size_t s = shard_begin; s < shard_end; ++s) {
           GradAccumulator& grad = shards_[s].grad;
           std::vector<size_t>& first_pos = shards_[s].first_pos;
+          std::vector<double>& sq = shards_[s].sq;
           grad.Reset();
           first_pos.clear();
           for (size_t w = 0; w < steps.size(); ++w) {
@@ -115,23 +129,37 @@ size_t ShardedUpdate::Apply(const std::vector<RowWorkerStep>& steps,
               }
             }
           }
-          for (size_t pos : first_pos) is_first_[pos] = 1;
+          sq.resize(grad.sums().size());
           ApplyGradBlocks(grad, batch_total, reg, optimizer, weights->data(),
                           opt_state->data(), kApplyPrefetchBlocks,
                           [&](size_t i, size_t j, double g) {
-                            first_sq_[first_pos[i] * width + j] = g * g;
+                            sq[i * width + j] = g * g;
                           });
         }
       });
 
+  // The norm sums the squares in the global first-touch order: the shards'
+  // first positions are disjoint and each list ascends, so a merge by
+  // position visits the blocks in that order.
+  size_t touched = 0;
+  for (const Shard& shard : shards_) touched += shard.sq.size();
+  std::vector<size_t> next(num_shards, 0);
   double sq = 0.0;
-  for (size_t p = 0; p < is_first_.size(); ++p) {
-    if (!is_first_[p]) continue;
-    for (size_t j = 0; j < width; ++j) sq += first_sq_[p * width + j];
+  for (size_t done = 0; done < touched; done += width) {
+    size_t s = 0;
+    size_t first = std::numeric_limits<size_t>::max();
+    for (size_t t = 0; t < num_shards; ++t) {
+      if (next[t] < shards_[t].first_pos.size() &&
+          shards_[t].first_pos[next[t]] < first) {
+        s = t;
+        first = shards_[t].first_pos[next[t]];
+      }
+    }
+    const double* block_sq = shards_[s].sq.data() + next[s] * width;
+    for (size_t j = 0; j < width; ++j) sq += block_sq[j];
+    ++next[s];
   }
   if (grad_sq != nullptr) *grad_sq += sq;
-  size_t touched = 0;
-  for (const Shard& shard : shards_) touched += shard.grad.sums().size();
   if (flops != nullptr) flops->Add(8 * touched);
   return touched;
 }

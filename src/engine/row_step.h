@@ -1,6 +1,6 @@
 // The row engines' iteration, split for the host (DESIGN.md §18). MLlib and
 // the PS engines run each simulated worker's numeric work (row draw, key
-// set, fused forward/gradient) on the shared pool, replay the simulated
+// counts, fused forward/gradient) on the shared pool, replay the simulated
 // charges serially in worker order, then scatter the gradient into the
 // engine's accumulator and apply it shard by shard, on the pool again.
 //
@@ -25,6 +25,63 @@ namespace colsgd {
 /// \brief Simulated cost of drawing one row.
 inline constexpr uint64_t kSampleFlops = 32;
 
+/// \brief Counts a batch's distinct features per shard: feature f belongs to
+/// shard f % num_shards, RoundRobinPartitioner::Owner with num_shards
+/// workers. An open-addressing set of the features inserted since the last
+/// Reset, GradAccumulator's table holding keys only: linear probing from a
+/// Fibonacci hash, at most half full (it doubles when it must), each entry
+/// stamped with the epoch it was written in. Reset moves to the next epoch,
+/// and clears the table when the epoch wraps. One instance is reused across
+/// batches, table included.
+class ShardKeyCounter {
+ public:
+  /// \brief Forgets every feature and zeroes num_shards counts (none when
+  /// num_shards is 0).
+  void Reset(int num_shards);
+
+  void Insert(uint32_t feature) {
+    size_t pos = Probe(feature);
+    if (table_[pos].epoch == epoch_) return;
+    if (2 * (size_ + 1) > table_.size()) {
+      Grow();
+      pos = Probe(feature);
+    }
+    table_[pos] = Entry{feature, epoch_};
+    ++size_;
+    ++counts_[feature % static_cast<uint32_t>(counts_.size())];
+  }
+
+  /// \brief counts()[s]: distinct features of shard s since the last Reset.
+  const std::vector<uint64_t>& counts() const { return counts_; }
+
+ private:
+  struct Entry {
+    uint32_t feature = 0;
+    uint32_t epoch = 0;  // 0: never used
+  };
+  static constexpr int kMinTableBits = 4;
+
+  size_t Probe(uint32_t feature) const {
+    const size_t mask = table_.size() - 1;
+    size_t pos = static_cast<size_t>((feature * 0x9E3779B97F4A7C15ULL) >>
+                                     shift_);
+    while (table_[pos].epoch == epoch_ && table_[pos].feature != feature) {
+      pos = (pos + 1) & mask;
+    }
+    return pos;
+  }
+
+  // Doubles the table and re-inserts the live entries.
+  void Grow();
+
+  std::vector<Entry> table_ =
+      std::vector<Entry>(size_t{1} << kMinTableBits);  // power-of-two size
+  int shift_ = 64 - kMinTableBits;  // 64 - log2(table_.size())
+  uint32_t epoch_ = 1;
+  size_t size_ = 0;  // live entries
+  std::vector<uint64_t> counts_;
+};
+
 /// \brief One worker's share of a row-engine iteration. The worker step
 /// fills it; the serial replay and ShardedUpdate read it. Reused across
 /// iterations. Cache-line aligned, so workers appending to their own steps
@@ -34,8 +91,9 @@ struct alignas(64) RowWorkerStep {
   explicit RowWorkerStep(int width) : terms(width) {}
 
   BatchView batch;
-  /// Distinct features of the batch, ascending (when Draw listed them).
-  std::vector<uint32_t> features;
+  /// keys.counts()[s]: distinct features of the batch in shard s (empty
+  /// when Draw counted none).
+  ShardKeyCounter keys;
   GradTerms terms;
   /// shard_terms[s]: indices into `terms` of shard s's blocks, ascending.
   std::vector<std::vector<uint32_t>> shard_terms;
@@ -44,9 +102,11 @@ struct alignas(64) RowWorkerStep {
 
   /// \brief Starts the worker's iteration: draws `local_batch` rows from
   /// its partition with `rng` (DrawLocalRow), charging kSampleFlops each,
-  /// and lists their distinct features when `list_features` is set.
+  /// and when `key_shards` > 0 counts their distinct features among that
+  /// many shards, the way ForwardGrad files them (the PS key sets, MLlib's
+  /// sparse push).
   void Draw(const std::vector<RowBlock>& blocks, uint64_t total_rows,
-            size_t local_batch, Rng rng, bool list_features);
+            size_t local_batch, Rng rng, int key_shards);
 
   /// \brief Runs the fused forward/gradient on the drawn batch against
   /// `model`, with per-row losses, and files the terms among `num_shards`
@@ -70,10 +130,11 @@ void ForEachWorker(int n, const std::function<void(int)>& body);
 ///
 /// because a shard task walks the steps in order and each step's blocks in
 /// order, so every slot gets its additions in (worker, row, nnz) order; and
-/// because the squared gradient norm is summed afterwards over the slots in
-/// the order of their first touch. A shard's task is the only writer to its
-/// accumulator; Optimizer::ApplyUpdate runs concurrently on distinct slots.
-/// Holds only per-iteration scratch, O(terms).
+/// because the squared gradient norm is summed afterwards, serially, over
+/// the slots in the order of their first touch. A shard's task writes only
+/// its own Shard and its own slots; Optimizer::ApplyUpdate runs
+/// concurrently on distinct slots. Holds only per-iteration scratch,
+/// O(terms).
 class ShardedUpdate {
  public:
   /// \brief Returns the number of touched slots; see ApplySparseUpdate for
@@ -85,22 +146,19 @@ class ShardedUpdate {
                FlopCounter* flops, double* grad_sq);
 
  private:
-  // One shard's gradient, and for each of its touched blocks the position of
-  // its first entry in the iteration's concatenated entry order. Cache-line
-  // aligned: shard tasks append to their lists at the same time, and
-  // vectors sharing a line would make every append a cache miss.
+  // One shard's gradient and, for each of its touched blocks in first-touch
+  // order, the position of the block's first entry in the iteration's
+  // concatenated entry order (ascending) and the squares of its applied
+  // gradient, `width` per block. Cache-line aligned: shard tasks append to
+  // their lists at the same time, and vectors sharing a line would make
+  // every append a cache miss.
   struct alignas(64) Shard {
     Shard(uint64_t num_slots, int width) : grad(num_slots, width) {}
     GradAccumulator grad;
     std::vector<size_t> first_pos;
+    std::vector<double> sq;
   };
   std::vector<Shard> shards_;
-  // Slot j of the entry at position p is term position p * width + j in
-  // the slot-by-slot order. first_sq_ holds, per term position, the squared
-  // gradient of the slot first touched there; is_first_, per entry
-  // position, whether its block was first touched there.
-  std::vector<double> first_sq_;
-  std::vector<uint8_t> is_first_;
 };
 
 }  // namespace colsgd

@@ -1,5 +1,6 @@
 #include "engine/rowsgd.h"
 
+#include "common/host_memory.h"
 #include "engine/row_sampling.h"
 
 namespace colsgd {
@@ -43,7 +44,7 @@ Status MllibEngine::Setup(const Dataset& dataset) {
 
   weights_ = InitialWeights(*model_, num_features_, config_.seed);
   optimizer_ = MakeOptimizer(config_.optimizer, config_.learning_rate);
-  opt_state_.assign(slots * optimizer_->state_per_slot(), 0.0);
+  opt_state_ = ModelArray(slots * optimizer_->state_per_slot());
   steps_.assign(partitions_.size(), RowWorkerStep(wpf));
 
   if (MasterMemoryBytes() > cluster_spec_.node_memory_budget) {
@@ -118,7 +119,7 @@ Status MllibEngine::DoRunIteration(int64_t iteration) {
     RowWorkerStep& step = steps_[w];
     step.Draw(partitions_[w], partition_rows_[w], WorkerBatchSize(w),
               WorkerIterationRng(config_.seed, iteration, w),
-              options_.sparse_gradient_push);
+              options_.sparse_gradient_push ? K : 0);
     step.ForwardGrad(*model_, weights_, K);
   });
   double loss_sum = 0.0;
@@ -142,9 +143,11 @@ Status MllibEngine::DoRunIteration(int64_t iteration) {
     if (options_.sparse_gradient_push) {
       // m*phi1 touched features, each carrying its weights_per_feature
       // gradient entries (Table I's sparse worker push).
-      push_bytes = 16 + step.features.size() *
-                            (sizeof(uint32_t) +
-                             sizeof(double) * model_->weights_per_feature());
+      uint64_t features = 0;
+      for (uint64_t keys : step.keys.counts()) features += keys;
+      push_bytes =
+          16 + features * (sizeof(uint32_t) +
+                           sizeof(double) * model_->weights_per_feature());
     }
     SendWithFaults(node, runtime_->master(), push_bytes, iteration);
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "common/host_memory.h"
 #include "linalg/kernels/thread_pool.h"
 #include "storage/partitioner.h"
 
@@ -17,7 +18,7 @@ std::vector<double> FillInitialWeights(const ModelSpec& model, uint64_t dim,
                                        uint64_t seed,
                                        GlobalIndexFn global_index) {
   const size_t wpf = static_cast<size_t>(model.weights_per_feature());
-  std::vector<double> weights(dim * wpf);
+  std::vector<double> weights = ModelArray(dim * wpf);
   double* out = weights.data();
   kernels::SharedPool().ParallelFor(
       dim, kInitChunkFeatures, [&](size_t begin, size_t end) {

@@ -350,7 +350,6 @@ void ServeFleet::ResolveServed(FleetBatch* batch, size_t attempt_index) {
 
 void ServeFleet::ResolveTimedOut(FleetBatch* batch, double t) {
   batch->resolved = true;
-  ++timed_out_batches_;
   const Attempt& first = batch->attempts.front();
   const double dispatch =
       first.lost ? first.forward_sent : first.outcome.dispatch;
@@ -643,7 +642,6 @@ void ServeFleet::RunUnrouted(const std::vector<ServeRequest>& arrivals) {
         const double t_send = std::max(runtime_->clock(master), req.arrival);
         runtime_->net().SendUnqueued(master, ingress_, kRejectMessageBytes,
                                      t_send);
-        ++reject_messages_;
       }
       ++next;
       continue;
@@ -866,7 +864,6 @@ void ServeFleet::RunRouted(const std::vector<ServeRequest>& arrivals) {
           const double t_send = std::max(runtime_->clock(router), req.arrival);
           runtime_->net().SendUnqueued(router, ingress_, kRejectMessageBytes,
                                        t_send);
-          ++reject_messages_;
         }
         ++next;
         break;

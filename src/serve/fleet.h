@@ -282,7 +282,6 @@ class ServeFleet {
   std::vector<FailoverRecord> failovers_;
   std::vector<int64_t> group_completed_;
   int64_t batch_ids_ = 0;
-  int64_t reject_messages_ = 0;
   int64_t swaps_failed_ = 0;           // rejected at the router
   int64_t hedges_fired_ = 0;
   int64_t hedge_wins_ = 0;
@@ -291,7 +290,6 @@ class ServeFleet {
   uint64_t hedge_bytes_ = 0;
   int64_t redispatches_ = 0;
   int64_t group_down_events_ = 0;
-  int64_t timed_out_batches_ = 0;
   bool ran_ = false;
 };
 

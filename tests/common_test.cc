@@ -1,14 +1,21 @@
-// Unit tests for common/: Status, Result, byte buffers, RNG, flags, CSV.
+// Unit tests for common/: Status, Result, byte buffers, RNG, flags, CSV,
+// model arrays.
 #include <gtest/gtest.h>
+#include <sys/prctl.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 
 #include "common/bytes.h"
 #include "common/crc32c.h"
 #include "common/csv.h"
 #include "common/flags.h"
+#include "common/host_memory.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -427,6 +434,107 @@ TEST(Crc32cTest, EverySingleBitFlipChangesTheChecksum) {
     EXPECT_NE(Crc32c(data), clean) << "bit " << bit;
     data[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
   }
+}
+
+TEST(ModelArrayTest, ReturnsExactlyNZeros) {
+  // Around the huge-page threshold, where the advice starts, and far above.
+  const size_t page = kHugePageBytes / sizeof(double);
+  for (const size_t n : {size_t{0}, size_t{1}, page - 1, page, page + 1,
+                         (size_t{64} << 20) / sizeof(double)}) {
+    const std::vector<double> array = ModelArray(n);
+    ASSERT_EQ(array.size(), n);
+    EXPECT_TRUE(std::all_of(array.begin(), array.end(), [](double x) {
+      return std::bit_cast<uint64_t>(x) == 0;  // +0.0
+    })) << "n = " << n;
+  }
+}
+
+/// One /proc/self/smaps entry: a mapping's address range and two fields.
+struct SmapsEntry {
+  uintptr_t begin = 0;
+  uintptr_t end = 0;
+  int thp_eligible = -1;  // -1: the kernel prints no THPeligible
+  uint64_t anon_huge_kb = 0;
+};
+
+std::vector<SmapsEntry> ReadSmaps() {
+  std::vector<SmapsEntry> entries;
+  std::ifstream in("/proc/self/smaps");
+  std::string line;
+  while (std::getline(in, line)) {
+    // Field lines start with "Name:"; an entry's header with "begin-end ".
+    const std::string name = line.substr(0, line.find(' '));
+    if (!name.empty() && name.back() == ':') {
+      if (entries.empty()) continue;
+      const uint64_t value =
+          std::strtoull(line.c_str() + name.size(), nullptr, 10);
+      if (name == "THPeligible:") {
+        entries.back().thp_eligible = static_cast<int>(value);
+      }
+      if (name == "AnonHugePages:") entries.back().anon_huge_kb = value;
+      continue;
+    }
+    char* rest = nullptr;
+    SmapsEntry entry;
+    entry.begin = std::strtoull(name.c_str(), &rest, 16);
+    if (*rest != '-') continue;
+    entry.end = std::strtoull(rest + 1, nullptr, 16);
+    entries.push_back(entry);
+  }
+  return entries;
+}
+
+uint64_t VmstatCounter(const std::string& name) {
+  std::ifstream in("/proc/vmstat");
+  std::string key;
+  uint64_t value = 0;
+  while (in >> key >> value) {
+    if (key == name) return value;
+  }
+  return 0;
+}
+
+TEST(ModelArrayTest, LargeArraysAreAdvisedBeforeTheirFirstTouch) {
+  std::ifstream enabled("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string mode;
+  std::getline(enabled, mode);
+  if (mode.find("[always]") == std::string::npos &&
+      mode.find("[madvise]") == std::string::npos) {
+    GTEST_SKIP() << "transparent huge pages are off here: '" << mode << "'";
+  }
+  if (prctl(PR_GET_THP_DISABLE, 0, 0, 0, 0) == 1) {
+    GTEST_SKIP() << "transparent huge pages are disabled for this process";
+  }
+  const uint64_t fallbacks = VmstatCounter("thp_fault_fallback");
+  const size_t n = (size_t{64} << 20) / sizeof(double);
+  const std::vector<double> array = ModelArray(n);
+  const uintptr_t page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
+  const uintptr_t data = reinterpret_cast<uintptr_t>(array.data());
+  const uintptr_t begin = (data + page - 1) & ~(page - 1);
+  const uintptr_t end = (data + n * sizeof(double)) & ~(page - 1);
+
+  // Advice over every whole page of the array: one eligible entry holds
+  // them all (in madvise mode the advice splits them into an entry of their
+  // own).
+  const std::vector<SmapsEntry> smaps = ReadSmaps();
+  const auto holder =
+      std::find_if(smaps.begin(), smaps.end(), [&](const SmapsEntry& e) {
+        return e.begin <= begin && begin < e.end;
+      });
+  ASSERT_NE(holder, smaps.end());
+  EXPECT_GE(holder->end, end) << "the advice stops short of the array's end";
+  if (holder->thp_eligible == -1) {
+    GTEST_SKIP() << "this kernel's smaps shows no THPeligible";
+  }
+  EXPECT_EQ(holder->thp_eligible, 1);
+  // Advice before the zero-fill: its faults took huge pages, unless the
+  // kernel reports it had none to give. (Advice after the fill leaves small
+  // pages until khugepaged comes round.)
+  if (holder->anon_huge_kb == 0 &&
+      VmstatCounter("thp_fault_fallback") > fallbacks) {
+    GTEST_SKIP() << "the kernel fell back to small pages";
+  }
+  EXPECT_GT(holder->anon_huge_kb, 0u);
 }
 
 }  // namespace

@@ -28,6 +28,7 @@
 // Per-request latency decompositions (queue/scatter/compute/gather) can be
 // dumped with --records_csv for offline analysis.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <map>
@@ -429,6 +430,11 @@ int RunDriver(int argc, char** argv) {
     if (train_rows < 1 || batch_size < 1) {
       return Status::InvalidArgument(
           "--train_rows and --batch_size must be at least 1");
+    }
+    // Zero leaves the model as it is and a negative step climbs the loss.
+    if (!std::isfinite(learning_rate) || learning_rate <= 0.0) {
+      return Status::InvalidArgument(
+          "--learning_rate must be a finite number above 0");
     }
     return Status::OK();
   });

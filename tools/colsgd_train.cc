@@ -11,6 +11,7 @@
 //                --optimizer adam --lr 0.01 --trace_csv trace.csv
 //   colsgd_train --synthetic tiny --engine columnsgd --staleness 2
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -301,6 +302,10 @@ int Run(int argc, char** argv) {
     if (iterations < 0 || eval_every < 0) {
       return Status::InvalidArgument(
           "--iterations and --eval_every must not be negative");
+    }
+    // Zero leaves the model as it is and a negative step climbs the loss.
+    if (!std::isfinite(lr) || lr <= 0.0) {
+      return Status::InvalidArgument("--lr must be a finite number above 0");
     }
     if (engine_name == "columnsgd") {
       COLSGD_RETURN_NOT_OK(CreatePartitioner(partitioner, 1, 1).status());
