@@ -411,6 +411,14 @@ class Engine {
   double last_batch_loss_ = std::numeric_limits<double>::quiet_NaN();
   double last_grad_sq_ = std::numeric_limits<double>::quiet_NaN();
   double load_time_ = 0.0;
+
+ private:
+  /// \brief The copies of `wire_bytes` the plan loses before one crosses,
+  /// shared by SendWithFaults and GatedSendWithFaults: the retransmit
+  /// backoff of a severed partition link, then a dropped copy and its ack
+  /// timeout.
+  void SendLostCopies(NodeId from, NodeId to, uint64_t wire_bytes,
+                      int64_t iteration);
 };
 
 /// \brief The update of every slot `grad` touched, block by block in touched

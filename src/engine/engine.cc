@@ -261,17 +261,10 @@ Status Engine::MaybeCheckpoint(int64_t iteration) {
   return Status::OK();
 }
 
-SimTime Engine::SendWithFaults(NodeId from, NodeId to, uint64_t bytes,
-                               int64_t iteration) {
-  // Under a wire-integrity plan every data-plane message carries the frame
-  // header + CRC32C trailer and the receiver pays an O(bytes) verification
-  // sweep; fault-free plans keep the unframed protocol bit-for-bit (the
-  // charging rule that keeps clean baselines and the golden trace stable).
-  const bool framed = faults_.plan.wire_integrity();
-  const uint64_t wire_bytes = framed ? bytes + kFrameOverheadBytes : bytes;
+void Engine::SendLostCopies(NodeId from, NodeId to, uint64_t wire_bytes,
+                            int64_t iteration) {
   const int ifrom = static_cast<int>(from);
   const int ito = static_cast<int>(to);
-
   if (faults_.plan.LinkPartitioned(iteration, ifrom, ito)) {
     // Severed link: every copy attempted during the outage is lost on the
     // wire while the sender backs off exponentially; the copy sent after
@@ -303,7 +296,19 @@ SimTime Engine::SendWithFaults(NodeId from, NodeId to, uint64_t bytes,
     ++recovery_.retransmits;
     recovery_.bytes_retransferred += wire_bytes;
   }
-  if (framed && faults_.plan.CorruptMessage(iteration, ifrom, ito)) {
+}
+
+SimTime Engine::SendWithFaults(NodeId from, NodeId to, uint64_t bytes,
+                               int64_t iteration) {
+  // Under a wire-integrity plan every data-plane message carries the frame
+  // header + CRC32C trailer and the receiver pays an O(bytes) verification
+  // sweep; fault-free plans keep the unframed protocol bit-for-bit (the
+  // charging rule that keeps clean baselines and the golden trace stable).
+  const bool framed = faults_.plan.wire_integrity();
+  const uint64_t wire_bytes = framed ? bytes + kFrameOverheadBytes : bytes;
+  SendLostCopies(from, to, wire_bytes, iteration);
+  if (framed && faults_.plan.CorruptMessage(iteration, static_cast<int>(from),
+                                            static_cast<int>(to))) {
     // The corrupted copy arrives in full, fails the receiver's CRC sweep,
     // and is NACK'd back; the sender then retransmits a clean copy. The
     // flipped payload is never handed to the engine — detection is what the
@@ -341,35 +346,9 @@ SimTime Engine::GatedSendWithFaults(NodeId from, NodeId to, uint64_t bytes,
   const double sweep_seconds =
       framed ? static_cast<double>(wire_bytes) / cluster_spec_.mem_bandwidth
              : 0.0;
-  const int ifrom = static_cast<int>(from);
-  const int ito = static_cast<int>(to);
-
-  if (faults_.plan.LinkPartitioned(iteration, ifrom, ito)) {
-    const int attempts = detector_.config().partition_retry_limit;
-    for (int a = 0; a < attempts; ++a) {
-      if (tracer_ != nullptr) {
-        tracer_->RecordInstant("fault.partition", from, runtime_->clock(from),
-                               iteration);
-      }
-      runtime_->net().Send(from, to, wire_bytes, runtime_->clock(from));
-      runtime_->AdvanceClock(from, detector_.RetransmitDelay(a));
-      ++recovery_.retransmits;
-      recovery_.bytes_retransferred += wire_bytes;
-    }
-    ++recovery_.partition_blocked_sends;
-  }
-  if (faults_.plan.DropMessage(iteration, ifrom, ito)) {
-    if (tracer_ != nullptr) {
-      tracer_->RecordInstant("fault.drop", from, runtime_->clock(from),
-                             iteration);
-    }
-    runtime_->net().Send(from, to, wire_bytes, runtime_->clock(from));
-    runtime_->AdvanceClock(from, detector_.ack_timeout());
-    ++recovery_.messages_dropped;
-    ++recovery_.retransmits;
-    recovery_.bytes_retransferred += wire_bytes;
-  }
-  if (framed && faults_.plan.CorruptMessage(iteration, ifrom, ito)) {
+  SendLostCopies(from, to, wire_bytes, iteration);
+  if (framed && faults_.plan.CorruptMessage(iteration, static_cast<int>(from),
+                                            static_cast<int>(to))) {
     // The corrupted copy arrives, fails the receiver's CRC sweep, and is
     // NACK'd back at arrival + sweep; the sender blocks on the NACK (it
     // cannot know to retransmit earlier) and then sends a clean copy.
