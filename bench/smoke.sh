@@ -40,9 +40,8 @@ run bench_fig13_faults --iterations 6 --fail_at 2 --out_dir "$OUT_DIR" --bench_o
 run bench_ablation_partitioner --iterations 2 --out_dir "$OUT_DIR" --bench_out "$ROOT"
 run bench_ablation_optimizer --iterations 2 --out_dir "$OUT_DIR" --bench_out "$ROOT"
 run bench_serving --requests 300 --rate 4000 --query_rows 400 --query_features 300 --bench_out "$ROOT"
-# Wall-clock kernel calibration: host-independent gate metrics (bitwise
-# mismatches, closure-error excess) must stay zero; the measured rates are
-# telemetry.
+# Wall-clock kernel calibration: host-independent gate metrics (closure-error
+# excess, profile validity) must stay zero; the measured rates are telemetry.
 run bench_kernels --repeats 3 --inner_iters 4 --bench_out "$ROOT"
 # bench_micro is a Google-benchmark binary; listing its cases exercises
 # registration without timing anything.

@@ -1,7 +1,6 @@
 // Small dense vector helpers used by model partitions and optimizers.
-// The element-wise ops route through the kernel layer so the execution mode
-// (scalar/simd/threaded) applies to statistics reduction and weight sweeps
-// too; all modes are bitwise-identical (DESIGN.md §18).
+// The element-wise ops route through the kernel layer (DESIGN.md §18), so
+// statistics reduction and weight sweeps run the calibrated kernels.
 #ifndef COLSGD_LINALG_DENSE_H_
 #define COLSGD_LINALG_DENSE_H_
 

@@ -4,9 +4,12 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "linalg/kernels/kernels.h"
 #include "obs/bench/json.h"
 
 namespace colsgd {
@@ -69,12 +72,12 @@ double NowSeconds() {
 // Times `body` (one full pass) `inner` times per repeat, keeping the
 // fastest repeat. Returns seconds per single pass.
 template <class Body>
-double MinTimeSeconds(int repeats, int inner, const Body& body) {
+double MinTimeSeconds(int64_t repeats, int64_t inner, const Body& body) {
   double best = 1e300;
-  for (int r = 0; r < std::max(1, repeats); ++r) {
+  for (int64_t r = 0; r < repeats; ++r) {
     const double t0 = NowSeconds();
-    for (int k = 0; k < std::max(1, inner); ++k) body();
-    const double dt = (NowSeconds() - t0) / std::max(1, inner);
+    for (int64_t k = 0; k < inner; ++k) body();
+    const double dt = (NowSeconds() - t0) / static_cast<double>(inner);
     best = std::min(best, dt);
   }
   return best;
@@ -95,8 +98,31 @@ bool CalibrationProfile::Valid() const {
   return schema == "colsgd.kernelcal/v1";
 }
 
+Status CalibratorOptions::Validate(const CalibratorOptions& options) {
+  const std::pair<const char*, int64_t> counts[] = {
+      {"rows", options.rows},
+      {"features", options.features},
+      {"nnz_per_row", options.nnz_per_row},
+      {"dense_elements", options.dense_elements},
+      {"repeats", options.repeats},
+      {"inner_iters", options.inner_iters},
+  };
+  for (const auto& [name, value] : counts) {
+    if (value < 1) {
+      return Status::InvalidArgument(std::string(name) + " must be >= 1");
+    }
+  }
+  if (options.nnz_per_row > options.features) {
+    return Status::InvalidArgument(
+        "nnz_per_row must be <= features (a row holds distinct features)");
+  }
+  return Status::OK();
+}
+
 KernelCalibrator::KernelCalibrator(CalibratorOptions options)
-    : options_(options) {}
+    : options_(options) {
+  COLSGD_CHECK_OK(CalibratorOptions::Validate(options_));
+}
 
 uint64_t KernelCalibrator::FusedIterationFlops() const {
   return FusedIterationFlopsFor(options_.rows);
@@ -109,13 +135,12 @@ uint64_t KernelCalibrator::FusedIterationFlopsFor(size_t rows) const {
          static_cast<uint64_t>(options_.nnz_per_row);
 }
 
-double KernelCalibrator::MeasureFusedIterationSeconds(KernelMode mode,
-                                                      size_t rows) const {
+double KernelCalibrator::MeasureFusedIterationSeconds(size_t rows) const {
   Workload w;
-  w.Build(rows, options_.features, options_.nnz_per_row, options_.seed + 17);
-  ScopedKernelMode scoped(mode);
+  w.Build(rows, static_cast<size_t>(options_.features),
+          static_cast<size_t>(options_.nnz_per_row), options_.seed + 17);
   std::vector<double> scores(rows);
-  std::vector<double> grad(options_.features, 0.0);
+  std::vector<double> grad(static_cast<size_t>(options_.features), 0.0);
   const double t = MinTimeSeconds(options_.repeats, options_.inner_iters, [&] {
     std::fill(scores.begin(), scores.end(), 0.0);
     SpmvRows(w.rows.data(), rows, w.model.data(), scores.data());
@@ -130,17 +155,15 @@ double KernelCalibrator::MeasureFusedIterationSeconds(KernelMode mode,
   return t;
 }
 
-CalibrationProfile KernelCalibrator::Run(KernelMode mode) const {
+CalibrationProfile KernelCalibrator::Run() const {
+  const size_t rows = static_cast<size_t>(options_.rows);
   Workload w;
-  w.Build(options_.rows, options_.features, options_.nnz_per_row,
-          options_.seed);
-  const size_t rows = options_.rows;
-  const uint64_t total_nnz =
-      static_cast<uint64_t>(rows) * options_.nnz_per_row;
-  ScopedKernelMode scoped(mode);
+  w.Build(rows, static_cast<size_t>(options_.features),
+          static_cast<size_t>(options_.nnz_per_row), options_.seed);
+  const uint64_t total_nnz = static_cast<uint64_t>(rows) *
+                             static_cast<uint64_t>(options_.nnz_per_row);
 
   CalibrationProfile p;
-  p.kernel_mode = KernelModeName(mode);
 
   // Forward SpMV rate.
   std::vector<double> scores(rows);
@@ -158,7 +181,7 @@ CalibrationProfile KernelCalibrator::Run(KernelMode mode) const {
   for (size_t i = 0; i < rows; ++i) {
     coeffs[i] = LinkCoeff(GlmLink::kLogistic, w.labels[i], scores[i]);
   }
-  std::vector<double> grad(options_.features, 0.0);
+  std::vector<double> grad(static_cast<size_t>(options_.features), 0.0);
   const double t_grad =
       MinTimeSeconds(options_.repeats, options_.inner_iters, [&] {
         for (size_t i = 0; i < rows; ++i) {
@@ -170,7 +193,7 @@ CalibrationProfile KernelCalibrator::Run(KernelMode mode) const {
   p.ns_per_nnz_grad = t_grad * 1e9 / static_cast<double>(total_nnz);
 
   // Dense element-wise rates.
-  const size_t n = options_.dense_elements;
+  const size_t n = static_cast<size_t>(options_.dense_elements);
   std::vector<double> a(n, 1.0), b(n, 0.5);
   const double t_add =
       MinTimeSeconds(options_.repeats, options_.inner_iters, [&] {
@@ -189,7 +212,7 @@ CalibrationProfile KernelCalibrator::Run(KernelMode mode) const {
   p.ns_per_element_update = t_axpy * 1e9 / static_cast<double>(n);
 
   // Aggregate counted-FLOP rate from the fused iteration.
-  const double t_fused = MeasureFusedIterationSeconds(mode, rows);
+  const double t_fused = MeasureFusedIterationSeconds(rows);
   p.flops_per_second =
       static_cast<double>(FusedIterationFlops()) / t_fused;
   return p;
@@ -198,7 +221,6 @@ CalibrationProfile KernelCalibrator::Run(KernelMode mode) const {
 std::string SerializeCalibrationProfile(const CalibrationProfile& profile) {
   JsonValue obj = JsonValue::Object();
   obj.Set("schema", JsonValue::String(profile.schema));
-  obj.Set("kernel_mode", JsonValue::String(profile.kernel_mode));
   obj.Set("ns_per_nnz_fwd", JsonValue::Number(profile.ns_per_nnz_fwd));
   obj.Set("ns_per_nnz_grad", JsonValue::Number(profile.ns_per_nnz_grad));
   obj.Set("ns_per_element_dense",
@@ -224,10 +246,6 @@ Result<CalibrationProfile> ParseCalibrationProfile(const std::string& text) {
       schema->string_value() != p.schema) {
     return Status::InvalidArgument(
         "calibration profile schema is not colsgd.kernelcal/v1");
-  }
-  const JsonValue* mode = obj.Find("kernel_mode");
-  if (mode != nullptr && mode->is_string()) {
-    p.kernel_mode = mode->string_value();
   }
   struct Field {
     const char* key;

@@ -9,27 +9,25 @@
 // tools feed back into the simulated clock (`--calibration=<profile.json>`).
 //
 // Wall-clock timing is inherently host-dependent; profiles are artifacts of
-// a (host, kernel mode) pair, never checked-in goldens. Everything here is
-// min-of-repeats steady_clock timing — the standard defense against
-// scheduler noise.
+// a host, never checked-in goldens. Everything here is min-of-repeats
+// steady_clock timing — the standard defense against scheduler noise.
 #ifndef COLSGD_LINALG_KERNELS_CALIBRATE_H_
 #define COLSGD_LINALG_KERNELS_CALIBRATE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "common/result.h"
-#include "linalg/kernels/kernels.h"
 #include "simnet/compute_model.h"
 
 namespace colsgd {
 namespace kernels {
 
-/// \brief Measured kernel rates of one (host, mode) pair. Schema
-/// "colsgd.kernelcal/v1"; all rates are > 0 in a valid profile.
+/// \brief Measured kernel rates of one host. Schema "colsgd.kernelcal/v1";
+/// all rates are > 0 in a valid profile.
 struct CalibrationProfile {
   std::string schema = "colsgd.kernelcal/v1";
-  std::string kernel_mode = "scalar";  // mode the measurement ran under
   // Per-primitive rates from the micro workloads.
   double ns_per_nnz_fwd = 0.0;      // SpmvRows: one nnz of forward SpMV
   double ns_per_nnz_grad = 0.0;     // SparseAxpy: one nnz of gradient scatter
@@ -50,22 +48,27 @@ struct CalibrationProfile {
 
 /// \brief Synthetic-workload shape for calibration runs.
 struct CalibratorOptions {
-  size_t rows = 4096;        // batch rows
-  size_t features = 16384;   // model dimension
-  size_t nnz_per_row = 32;   // uniform row density
-  size_t dense_elements = 1 << 18;  // DenseAdd / DenseAxpy vector length
-  int repeats = 5;           // timing repeats; the minimum is kept
-  int inner_iters = 8;       // workload passes per repeat (amortizes clock)
-  uint64_t seed = 1;         // synthetic data seed
+  int64_t rows = 4096;        // batch rows
+  int64_t features = 16384;   // model dimension
+  int64_t nnz_per_row = 32;   // uniform row density, distinct indices
+  int64_t dense_elements = 1 << 18;  // DenseAdd / DenseAxpy vector length
+  int64_t repeats = 5;        // timing repeats; the minimum is kept
+  int64_t inner_iters = 8;    // workload passes per repeat (amortizes clock)
+  uint64_t seed = 1;          // synthetic data seed
+
+  /// \brief Every size and count >= 1, and nnz_per_row <= features (a row
+  /// holds distinct features).
+  static Status Validate(const CalibratorOptions& options);
 };
 
 /// \brief Times the executed kernels and derives a CalibrationProfile.
 class KernelCalibrator {
  public:
+  /// \param options must pass CalibratorOptions::Validate.
   explicit KernelCalibrator(CalibratorOptions options = {});
 
-  /// \brief Runs every micro workload under `mode` and returns the profile.
-  CalibrationProfile Run(KernelMode mode) const;
+  /// \brief Runs every micro workload and returns the profile.
+  CalibrationProfile Run() const;
 
   /// \brief Counted FLOPs of one fused-GLM-iteration pass of the synthetic
   /// workload (the engines' charging convention: 4 per nnz). Exposed so
@@ -73,10 +76,10 @@ class KernelCalibrator {
   uint64_t FusedIterationFlops() const;
 
   /// \brief Measures one fused GLM iteration (forward + link + scatter)
-  /// over a workload scaled by `row_scale`, returning seconds per pass
+  /// over `rows` rows drawn apart from Run's, returning seconds per pass
   /// (min over repeats). Used by bench_kernels to validate the profile on a
   /// workload it was not fitted to.
-  double MeasureFusedIterationSeconds(KernelMode mode, size_t rows) const;
+  double MeasureFusedIterationSeconds(size_t rows) const;
 
   /// \brief Counted FLOPs of one fused pass over `rows` rows.
   uint64_t FusedIterationFlopsFor(size_t rows) const;

@@ -4,35 +4,23 @@
 // this layer: CSR SpMV forward kernels (row-major over a batch of sparse
 // rows, multi-output variants for MLR/FM), the transpose scatter-add
 // (gradient) kernels, dense element-wise kernels, and the GLM link
-// functions. Three execution modes are selectable at runtime:
+// functions. Each kernel is one plain loop.
 //
-//   scalar   — the reference implementation: plain loops, bit-for-bit the
-//              semantics the models used before this layer existed.
-//   simd     — `#pragma omp simd` vectorization of order-insensitive work
-//              (per-element products, gathers, independent output chains).
-//   threaded — a thread pool parallelizes over independent per-row outputs.
+// Fixed-order reduction contract: any reduction whose order affects the
+// result (a dot product's accumulation chain, a scatter-add into a shared
+// accumulator) executes in ascending (row, nnz-index) order. A kernel call
+// is serial; callers that run several at once on the shared pool keep each
+// slot's additions in the serial order (engine/row_step.h). The build pins
+// `-ffp-contract=off`, so no product is fused into an accumulation chain.
 //
-// All three produce BITWISE-IDENTICAL results under the fixed-order
-// reduction contract: any reduction whose order affects the result (a dot
-// product's accumulation chain, a scatter-add into a shared accumulator)
-// executes in ascending (row, nnz-index) order in every mode. simd/threaded
-// only reschedule work whose result is order-independent — IEEE-exact
-// per-element products buffered then summed in order, disjoint per-row
-// outputs, independent per-class chains. A scatter-add call is serial in
-// all modes; callers that run several at once keep each slot's additions
-// in order (engine/row_step.h). The build pins `-ffp-contract=off` so a
-// buffered product is never fused into the accumulation chain.
-//
-// Wall-clock speed differs across modes; simulated time never does —
-// engines charge counted FLOPs regardless of mode (DESIGN.md §12 closes the
-// loop by calibrating the charged rate against these kernels' measured
-// speed).
+// Simulated time never depends on this layer's wall-clock speed: engines
+// charge counted FLOPs (DESIGN.md §12 closes the loop by calibrating the
+// charged rate against these kernels' measured speed).
 #ifndef COLSGD_LINALG_KERNELS_KERNELS_H_
 #define COLSGD_LINALG_KERNELS_KERNELS_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "common/check.h"
 #include "linalg/sparse.h"
@@ -40,46 +28,20 @@
 namespace colsgd {
 namespace kernels {
 
-enum class KernelMode {
-  kScalar = 0,
-  kSimd = 1,
-  kThreaded = 2,
-};
-
-/// \brief The process-wide mode new kernel calls execute under (default
-/// scalar). Thread-safe reads/writes; switching mid-computation is the
-/// caller's bug.
-KernelMode CurrentMode();
-void SetMode(KernelMode mode);
-
-/// \brief "scalar" | "simd" | "threaded".
-const char* KernelModeName(KernelMode mode);
-
-/// \brief Parses a mode name; returns false (mode untouched) on anything
-/// else.
-bool ParseKernelMode(const std::string& name, KernelMode* mode);
-
-/// \brief RAII mode switch for tests.
-class ScopedKernelMode {
- public:
-  explicit ScopedKernelMode(KernelMode mode) : saved_(CurrentMode()) {
-    SetMode(mode);
-  }
-  ~ScopedKernelMode() { SetMode(saved_); }
-  ScopedKernelMode(const ScopedKernelMode&) = delete;
-  ScopedKernelMode& operator=(const ScopedKernelMode&) = delete;
-
- private:
-  KernelMode saved_;
-};
+// One-value stub kept for hostbench, its only caller, which selects and
+// prints the kernel mode in its provenance. Drop it with the next change to
+// hostbench.
+enum class KernelMode { kScalar };
+inline void SetMode(KernelMode) {}
+inline KernelMode CurrentMode() { return KernelMode::kScalar; }
+inline const char* KernelModeName(KernelMode) { return "scalar"; }
 
 // ---- Forward (SpMV) kernels ----------------------------------------------
 //
 // Row-major CSR SpMV over a batch of sparse row views (the column
 // partitioner's shard slices and the row engines' sampled batches both
-// arrive in this shape). Per-row outputs are disjoint, so simd vectorizes
-// the per-element products and threaded parallelizes over rows; the
-// accumulation chain of each output stays in ascending nnz order.
+// arrive in this shape). The accumulation chain of each output runs in
+// ascending nnz order.
 
 /// \brief Ordered sparse·dense dot: sum_i dense[indices[i]] * values[i],
 /// accumulated in ascending i order (bitwise SparseVectorView::Dot).
@@ -100,8 +62,6 @@ void SpmvRowsMulti(const SparseVectorView* rows, size_t n, int C,
 /// for each row i, nnz j in order:
 ///   out[i*wpf]     += w[0]*x  then  -= 0.5*w[c]*w[c]*x^2 for c = 1..F
 ///   out[i*wpf + c] += w[c]*x                            for c = 1..F
-/// The out[0] chain is a true ordered reduction and stays sequential in all
-/// modes; the out[c] chains are independent and vectorize.
 void FmForwardRows(const SparseVectorView* rows, size_t n, int num_factors,
                    const double* model, double* out);
 
@@ -109,9 +69,9 @@ void FmForwardRows(const SparseVectorView* rows, size_t n, int num_factors,
 //
 // The column-major side of SpMV: grad += A^T * coeff, handed to the target
 // one feature block at a time: acc->Add(first_slot, block) adds the block's
-// width() values to its consecutive slots, blocks in ascending nnz order in
-// every mode. A GradAccumulator sums them and keeps first-touch order, which
-// is observable; the row engines' GradTerms records them, and the engine
+// width() values to its consecutive slots, blocks in ascending nnz order.
+// A GradAccumulator sums them and keeps first-touch order, which is
+// observable; the row engines' GradTerms records them, and the engine
 // later replays them, in the same order, into one accumulator per server
 // shard on the shared pool (engine/row_step.h). So a kernel call is serial —
 // one row's contribution — and any parallelism lives in the callers above
@@ -156,14 +116,11 @@ inline void Prefetch(const double* p, size_t n) {
 }
 
 /// \brief dense[indices[j]] += scale * values[j] in ascending j order
-/// (bitwise SparseVectorView::AxpyInto). Serial in all modes.
+/// (bitwise SparseVectorView::AxpyInto).
 void SparseAxpy(const uint32_t* indices, const float* values, size_t nnz,
                 double scale, double* dense);
 
 // ---- Dense element-wise kernels ------------------------------------------
-//
-// Each output element depends on exactly one input element, so simd and
-// threaded schedules are trivially bitwise-equal to scalar.
 
 /// \brief out[i] += in[i] (reduceStat and the serving score reduce).
 void DenseAdd(const double* in, double* out, size_t n);

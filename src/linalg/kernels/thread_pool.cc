@@ -1,7 +1,6 @@
 #include "linalg/kernels/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace colsgd {
 namespace kernels {
@@ -97,34 +96,12 @@ void ThreadPool::ParallelFor(size_t n, size_t grain,
   t_inside_pool = false;
 }
 
-namespace {
-std::atomic<int> g_requested_threads{0};  // 0 = auto
-std::atomic<bool> g_pool_started{false};
-}  // namespace
-
 ThreadPool& SharedPool() {
   static ThreadPool* pool = [] {
-    g_pool_started.store(true, std::memory_order_relaxed);
-    int n = g_requested_threads.load(std::memory_order_relaxed);
-    if (n <= 0) {
-      unsigned hw = std::thread::hardware_concurrency();
-      n = hw > 1 ? static_cast<int>(hw - 1) : 1;
-    }
-    return new ThreadPool(n);
+    const unsigned hw = std::thread::hardware_concurrency();
+    return new ThreadPool(hw > 1 ? static_cast<int>(hw - 1) : 1);
   }();
   return *pool;
-}
-
-int SetKernelThreads(int num_threads) {
-  if (!g_pool_started.load(std::memory_order_relaxed)) {
-    g_requested_threads.store(num_threads, std::memory_order_relaxed);
-  }
-  int n = g_requested_threads.load(std::memory_order_relaxed);
-  if (n <= 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    n = hw > 1 ? static_cast<int>(hw - 1) : 1;
-  }
-  return n;
 }
 
 }  // namespace kernels

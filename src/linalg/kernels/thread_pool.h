@@ -1,5 +1,5 @@
-// A small persistent thread pool for the threaded kernel mode and for model
-// initialisation.
+// A small persistent thread pool for model initialisation and the row
+// engines' iteration steps.
 //
 // The pool exists for WALL-CLOCK execution only: simulated time is always
 // charged from counted work (simnet/compute_model.h), so the pool never
@@ -67,16 +67,11 @@ class ThreadPool {
   std::vector<std::thread> threads_;
 };
 
-/// \brief The process-wide pool used by the threaded kernel mode and by
-/// model initialisation (InitialWeights, model/model_spec.h), created on
-/// first use with the thread count from SetKernelThreads (default:
-/// hardware_concurrency - 1, at least 1).
+/// \brief The process-wide pool used by model initialisation
+/// (InitialWeights, model/model_spec.h) and the row engines' iteration steps
+/// (engine/row_step.h), created on first use with hardware_concurrency - 1
+/// threads (at least 1).
 ThreadPool& SharedPool();
-
-/// \brief Overrides the shared pool's thread count. Must be called before
-/// the first use of the shared pool; later calls are ignored (the pool is
-/// already running). Returns the count the pool will use.
-int SetKernelThreads(int num_threads);
 
 }  // namespace kernels
 }  // namespace colsgd

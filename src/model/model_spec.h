@@ -342,9 +342,8 @@ class ModelSpec {
   /// each row's loss in its own entry; nullptr skips the loss pass and its
   /// flop charge (MLlib*'s extra local steps). Only reads `model`, so
   /// workers may run it at the same time on one model (DESIGN.md §18).
-  /// Models run the kernel layer's forward once per row (mode-dispatched)
-  /// and reuse the scores for both loss and gradient; the terms stay in
-  /// batch order, so every kernel mode produces the seed's exact bits.
+  /// Models run the kernel layer's forward once per row and reuse the
+  /// scores for both loss and gradient; the terms stay in batch order.
   /// Every model on the row path overrides this; the default dies.
   virtual void RowBatchForwardGrad(const BatchView& batch,
                                    const std::vector<double>& model,
@@ -379,11 +378,10 @@ inline constexpr uint64_t kInitChunkFeatures = 16384;
 /// \brief The initial model in global layout: slot f * wpf + j holds
 /// `model.InitWeight(f, j, seed)` for every feature f < `num_features`.
 ///
-/// The fill runs on kernels::SharedPool() in every kernel mode, over
-/// disjoint chunks of kInitChunkFeatures features. Each slot is a pure
-/// function of (feature, j, seed) and no sum crosses a chunk, so the result
-/// is bitwise equal to the serial loop whatever the thread count or chunk
-/// order.
+/// The fill runs on kernels::SharedPool(), over disjoint chunks of
+/// kInitChunkFeatures features. Each slot is a pure function of (feature, j,
+/// seed) and no sum crosses a chunk, so the result is bitwise equal to the
+/// serial loop whatever the thread count or chunk order.
 std::vector<double> InitialWeights(const ModelSpec& model,
                                    uint64_t num_features, uint64_t seed);
 

@@ -16,7 +16,6 @@
 #include "engine/row_sampling.h"
 #include "engine/rowsgd.h"
 #include "engine/trainer.h"
-#include "linalg/kernels/kernels.h"
 #include "obs/bench/timeseries.h"
 #include "storage/sampler.h"
 
@@ -337,20 +336,6 @@ INSTANTIATE_TEST_SUITE_P(
              std::get<2>(info.param) + "_k" +
              std::to_string(std::get<3>(info.param));
     });
-
-TEST(RowScheduleKernelModeTest, EveryModeKeepsTheSerialSchedule) {
-  // The threaded kernels call the shared pool themselves; inside a
-  // parallel worker step they must still give the serial bits.
-  for (kernels::KernelMode mode :
-       {kernels::KernelMode::kScalar, kernels::KernelMode::kSimd,
-        kernels::KernelMode::kThreaded}) {
-    kernels::ScopedKernelMode scoped(mode);
-    SCOPED_TRACE(kernels::KernelModeName(mode));
-    ExpectSerialSchedule("mxnet", "fm4", "adam", 4);
-    ExpectSerialSchedule("mllib", "mlr3", "adagrad", 3);
-    ExpectSerialSchedule("petuum_ssp0", "lr", "sgd", 8);
-  }
-}
 
 // --- Bounded staleness (DESIGN.md §15) ------------------------------------
 

@@ -1,9 +1,8 @@
 // The executed kernel layer (DESIGN.md §18) and its calibration loop
 // (DESIGN.md §12):
-//  * scalar / simd / threaded modes are BITWISE-identical — on the raw
-//    kernels (including empty rows, single-nnz rows, and dense columns) and
-//    on end-to-end trained weights for every engine x model pair, under SSP
-//    slack, and through the sharded serving path.
+//  * every forward and dense kernel hits the bits of a plain ordered loop —
+//    including empty rows, single-nnz rows, and dense columns — and the
+//    scatter kernels keep touch order.
 //  * the thread pool covers every index exactly once, also with concurrent
 //    and nested callers.
 //  * calibration profiles round-trip through JSON and reject garbage.
@@ -15,52 +14,14 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "datagen/synthetic.h"
-#include "engine/trainer.h"
 #include "linalg/kernels/calibrate.h"
 #include "linalg/kernels/kernels.h"
 #include "linalg/kernels/thread_pool.h"
-#include "model/factory.h"
-#include "serve/inference.h"
 
 namespace colsgd {
 namespace {
 
-using kernels::KernelMode;
-using kernels::ScopedKernelMode;
-
-constexpr KernelMode kAllModes[] = {KernelMode::kScalar, KernelMode::kSimd,
-                                    KernelMode::kThreaded};
-
-// ---- Mode plumbing -------------------------------------------------------
-
-TEST(KernelModeTest, ParseRoundTripsEveryMode) {
-  for (KernelMode mode : kAllModes) {
-    KernelMode parsed = KernelMode::kScalar;
-    EXPECT_TRUE(kernels::ParseKernelMode(kernels::KernelModeName(mode),
-                                         &parsed));
-    EXPECT_EQ(parsed, mode);
-  }
-}
-
-TEST(KernelModeTest, ParseRejectsUnknownNamesUntouched) {
-  KernelMode mode = KernelMode::kSimd;
-  EXPECT_FALSE(kernels::ParseKernelMode("avx512", &mode));
-  EXPECT_FALSE(kernels::ParseKernelMode("", &mode));
-  EXPECT_FALSE(kernels::ParseKernelMode("Scalar", &mode));
-  EXPECT_EQ(mode, KernelMode::kSimd);
-}
-
-TEST(KernelModeTest, ScopedModeRestores) {
-  kernels::SetMode(KernelMode::kScalar);
-  {
-    ScopedKernelMode scoped(KernelMode::kThreaded);
-    EXPECT_EQ(kernels::CurrentMode(), KernelMode::kThreaded);
-  }
-  EXPECT_EQ(kernels::CurrentMode(), KernelMode::kScalar);
-}
-
-// ---- Raw kernel equivalence ----------------------------------------------
+// ---- Raw kernels against ordered references -------------------------------
 
 /// A batch exercising the shapes column partitioning produces: empty rows,
 /// single-nnz rows, runs of short rows, and one fully dense column/row.
@@ -82,7 +43,7 @@ CsrBatch EdgeCaseBatch(uint64_t dim, uint64_t seed) {
     }
     batch.AppendRow(idx.data(), val.data(), idx.size());
   }
-  for (int i = 0; i < 61; ++i) {  // odd count: partial thread-pool chunks
+  for (int i = 0; i < 61; ++i) {  // runs of short rows
     std::vector<uint32_t> idx;
     std::vector<float> val;
     const int nnz = 1 + static_cast<int>(rng.NextDouble() * 9.0);
@@ -111,52 +72,56 @@ std::vector<double> DenseModel(size_t n, uint64_t seed) {
   return model;
 }
 
-TEST(KernelEquivalenceTest, SpmvRowsBitwiseAcrossModes) {
+TEST(KernelEquivalenceTest, SpmvRowsMatchesOrderedReference) {
   const uint64_t dim = 257;
   const CsrBatch batch = EdgeCaseBatch(dim, 11);
   const std::vector<SparseVectorView> rows = Views(batch);
   const std::vector<double> model = DenseModel(dim, 5);
 
-  std::vector<double> scalar_out(rows.size(), 0.125);
-  {
-    ScopedKernelMode scoped(KernelMode::kScalar);
-    kernels::SpmvRows(rows.data(), rows.size(), model.data(),
-                      scalar_out.data());
+  // Each row's dot is one chain from 0.0, then added to its output.
+  std::vector<double> reference(rows.size(), 0.125);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    double dot = 0.0;
+    for (size_t j = 0; j < rows[i].nnz; ++j) {
+      dot += model[rows[i].indices[j]] * static_cast<double>(rows[i].values[j]);
+    }
+    reference[i] += dot;
   }
-  for (KernelMode mode : {KernelMode::kSimd, KernelMode::kThreaded}) {
-    std::vector<double> out(rows.size(), 0.125);
-    ScopedKernelMode scoped(mode);
-    kernels::SpmvRows(rows.data(), rows.size(), model.data(), out.data());
-    EXPECT_EQ(out, scalar_out) << kernels::KernelModeName(mode);
-  }
+  std::vector<double> out(rows.size(), 0.125);
+  kernels::SpmvRows(rows.data(), rows.size(), model.data(), out.data());
+  EXPECT_EQ(out, reference);
   // Empty rows add exactly nothing, preserving the accumulator seed.
-  EXPECT_EQ(scalar_out.front(), 0.125);
-  EXPECT_EQ(scalar_out.back(), 0.125);
+  EXPECT_EQ(out.front(), 0.125);
+  EXPECT_EQ(out.back(), 0.125);
 }
 
-TEST(KernelEquivalenceTest, SpmvRowsMultiBitwiseAcrossModes) {
+TEST(KernelEquivalenceTest, SpmvRowsMultiMatchesOrderedReference) {
   const uint64_t dim = 97;
   const int C = 5;
   const CsrBatch batch = EdgeCaseBatch(dim, 23);
   const std::vector<SparseVectorView> rows = Views(batch);
   const std::vector<double> model = DenseModel(dim * C, 7);
 
-  std::vector<double> scalar_out(rows.size() * C, 0.0);
-  {
-    ScopedKernelMode scoped(KernelMode::kScalar);
-    kernels::SpmvRowsMulti(rows.data(), rows.size(), C, model.data(),
-                           scalar_out.data());
+  std::vector<double> reference(rows.size() * C, 0.25);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t j = 0; j < rows[i].nnz; ++j) {
+      const double v = rows[i].values[j];
+      for (int c = 0; c < C; ++c) {
+        reference[i * C + c] += model[rows[i].indices[j] * C + c] * v;
+      }
+    }
   }
-  for (KernelMode mode : {KernelMode::kSimd, KernelMode::kThreaded}) {
-    std::vector<double> out(rows.size() * C, 0.0);
-    ScopedKernelMode scoped(mode);
-    kernels::SpmvRowsMulti(rows.data(), rows.size(), C, model.data(),
-                           out.data());
-    EXPECT_EQ(out, scalar_out) << kernels::KernelModeName(mode);
+  std::vector<double> out(rows.size() * C, 0.25);
+  kernels::SpmvRowsMulti(rows.data(), rows.size(), C, model.data(),
+                         out.data());
+  EXPECT_EQ(out, reference);
+  for (int c = 0; c < C; ++c) {
+    EXPECT_EQ(out[c], 0.25);
+    EXPECT_EQ(out[(rows.size() - 1) * C + c], 0.25);
   }
 }
 
-TEST(KernelEquivalenceTest, FmForwardRowsBitwiseAcrossModes) {
+TEST(KernelEquivalenceTest, FmForwardRowsMatchesOrderedReference) {
   const uint64_t dim = 67;
   const int F = 4;
   const int wpf = 1 + F;
@@ -164,18 +129,24 @@ TEST(KernelEquivalenceTest, FmForwardRowsBitwiseAcrossModes) {
   const std::vector<SparseVectorView> rows = Views(batch);
   const std::vector<double> model = DenseModel(dim * wpf, 9);
 
-  std::vector<double> scalar_out(rows.size() * wpf, 0.0);
-  {
-    ScopedKernelMode scoped(KernelMode::kScalar);
-    kernels::FmForwardRows(rows.data(), rows.size(), F, model.data(),
-                           scalar_out.data());
+  std::vector<double> reference(rows.size() * wpf, 0.5);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    double* o = reference.data() + i * wpf;
+    for (size_t j = 0; j < rows[i].nnz; ++j) {
+      const double x = rows[i].values[j];
+      const double* w = model.data() + rows[i].indices[j] * wpf;
+      o[0] += w[0] * x;
+      for (int c = 1; c <= F; ++c) o[0] -= 0.5 * w[c] * w[c] * (x * x);
+      for (int c = 1; c <= F; ++c) o[c] += w[c] * x;
+    }
   }
-  for (KernelMode mode : {KernelMode::kSimd, KernelMode::kThreaded}) {
-    std::vector<double> out(rows.size() * wpf, 0.0);
-    ScopedKernelMode scoped(mode);
-    kernels::FmForwardRows(rows.data(), rows.size(), F, model.data(),
-                           out.data());
-    EXPECT_EQ(out, scalar_out) << kernels::KernelModeName(mode);
+  std::vector<double> out(rows.size() * wpf, 0.5);
+  kernels::FmForwardRows(rows.data(), rows.size(), F, model.data(),
+                         out.data());
+  EXPECT_EQ(out, reference);
+  for (int c = 0; c < wpf; ++c) {
+    EXPECT_EQ(out[c], 0.5);
+    EXPECT_EQ(out[(rows.size() - 1) * wpf + c], 0.5);
   }
 }
 
@@ -185,46 +156,39 @@ TEST(KernelEquivalenceTest, SparseDotMatchesOrderedReference) {
   const std::vector<double> model = DenseModel(dim, 3);
   for (size_t i = 0; i < batch.num_rows(); ++i) {
     const SparseVectorView row = batch.Row(i);
-    double reference = 0.0;  // the ascending-index chain every mode must hit
+    double reference = 0.0;  // the ascending-index chain the kernel must hit
     for (size_t j = 0; j < row.nnz; ++j) {
       reference += model[row.indices[j]] * static_cast<double>(row.values[j]);
     }
-    for (KernelMode mode : kAllModes) {
-      ScopedKernelMode scoped(mode);
-      EXPECT_EQ(kernels::SparseDot(row.indices, row.values, row.nnz,
-                                   model.data()),
-                reference);
-    }
+    EXPECT_EQ(kernels::SparseDot(row.indices, row.values, row.nnz,
+                                 model.data()),
+              reference);
   }
 }
 
-TEST(KernelEquivalenceTest, DenseKernelsBitwiseAcrossModes) {
-  const size_t n = 10001;  // odd: exercises partial simd/threaded tails
+TEST(KernelEquivalenceTest, DenseKernelsMatchOrderedReference) {
+  const size_t n = 10001;
   const std::vector<double> in = DenseModel(n, 13);
-  std::vector<double> scalar_add = DenseModel(n, 17);
-  std::vector<double> scalar_axpy = scalar_add;
-  double scalar_dot;
-  {
-    ScopedKernelMode scoped(KernelMode::kScalar);
-    kernels::DenseAdd(in.data(), scalar_add.data(), n);
-    kernels::DenseAxpy(-0.75, in.data(), scalar_axpy.data(), n);
-    scalar_dot = kernels::DenseDot(in.data(), scalar_axpy.data(), n);
+  std::vector<double> add = DenseModel(n, 17);
+  std::vector<double> axpy = add;
+  std::vector<double> reference_add = add;
+  std::vector<double> reference_axpy = add;
+  double reference_dot = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    reference_add[i] += in[i];
+    reference_axpy[i] += -0.75 * in[i];
   }
-  for (KernelMode mode : {KernelMode::kSimd, KernelMode::kThreaded}) {
-    ScopedKernelMode scoped(mode);
-    std::vector<double> add = DenseModel(n, 17);
-    std::vector<double> axpy = add;
-    kernels::DenseAdd(in.data(), add.data(), n);
-    kernels::DenseAxpy(-0.75, in.data(), axpy.data(), n);
-    EXPECT_EQ(add, scalar_add) << kernels::KernelModeName(mode);
-    EXPECT_EQ(axpy, scalar_axpy) << kernels::KernelModeName(mode);
-    EXPECT_EQ(kernels::DenseDot(in.data(), axpy.data(), n), scalar_dot);
-  }
+  for (size_t i = 0; i < n; ++i) reference_dot += in[i] * reference_axpy[i];
+  kernels::DenseAdd(in.data(), add.data(), n);
+  kernels::DenseAxpy(-0.75, in.data(), axpy.data(), n);
+  EXPECT_EQ(add, reference_add);
+  EXPECT_EQ(axpy, reference_axpy);
+  EXPECT_EQ(kernels::DenseDot(in.data(), axpy.data(), n), reference_dot);
 }
 
 TEST(KernelEquivalenceTest, ScatterRowPreservesTouchOrder) {
   // GradAccumulator's observable state includes first-touch order, so the
-  // scatter must visit indices in ascending nnz order in every mode.
+  // scatter must visit indices in ascending nnz order.
   struct OrderLoggingAcc {
     int block_width = 1;
     std::vector<std::pair<uint64_t, double>> touches;
@@ -238,24 +202,20 @@ TEST(KernelEquivalenceTest, ScatterRowPreservesTouchOrder) {
   const uint32_t idx[] = {7, 3, 9, 3};  // duplicates stay in appearance order
   const float val[] = {1.0f, 2.0f, 3.0f, 4.0f};
   SparseVectorView row{idx, val, 4};
-  OrderLoggingAcc reference;
-  kernels::ScatterRow(row, 0.5, &reference);
-  ASSERT_EQ(reference.touches.size(), 4u);
-  EXPECT_EQ(reference.touches[0].first, 7u);
-  EXPECT_EQ(reference.touches[3].second, 2.0);
-  for (KernelMode mode : kAllModes) {
-    ScopedKernelMode scoped(mode);
-    OrderLoggingAcc acc;
-    kernels::ScatterRow(row, 0.5, &acc);
-    EXPECT_EQ(acc.touches, reference.touches);
-    const double coeffs[] = {0.5, -1.5};
-    double block[2];
-    OrderLoggingAcc multi{2, {}};
-    kernels::ScatterRowMulti(row, coeffs, 2, block, &multi);
-    ASSERT_EQ(multi.touches.size(), 8u);
-    EXPECT_EQ(multi.touches[0].first, 14u);  // idx 7 * C + class 0
-    EXPECT_EQ(multi.touches[1].first, 15u);
-  }
+  OrderLoggingAcc acc;
+  kernels::ScatterRow(row, 0.5, &acc);
+  ASSERT_EQ(acc.touches.size(), 4u);
+  EXPECT_EQ(acc.touches[0].first, 7u);
+  EXPECT_EQ(acc.touches[3].second, 2.0);
+  const double coeffs[] = {0.5, -1.5};
+  double block[2];
+  OrderLoggingAcc multi{2, {}};
+  kernels::ScatterRowMulti(row, coeffs, 2, block, &multi);
+  ASSERT_EQ(multi.touches.size(), 8u);
+  EXPECT_EQ(multi.touches[0].first, 14u);  // idx 7 * C + class 0
+  EXPECT_EQ(multi.touches[1].first, 15u);
+  EXPECT_EQ(multi.touches[2].first, 6u);   // then idx 3, in appearance order
+  EXPECT_EQ(multi.touches[7].second, -1.5 * 4.0);
 }
 
 // ---- Thread pool ----------------------------------------------------------
@@ -347,169 +307,10 @@ TEST(ThreadPoolTest, NestedCallRunsInlineAndCoversEveryIndexOnce) {
   EXPECT_EQ(total.load(), 500u);
 }
 
-// ---- End-to-end: trained weights across modes -----------------------------
-
-Dataset TrainData(const std::string& model_name) {
-  SyntheticSpec spec = TinySpec();
-  spec.num_rows = 1200;
-  spec.num_features = 203;
-  if (model_name.rfind("mlr", 0) == 0) {
-    spec.num_classes = std::stoi(model_name.substr(3));
-  }
-  return GenerateSynthetic(spec);
-}
-
-struct TrainOutcome {
-  std::vector<double> weights;
-  double last_loss = 0.0;
-};
-
-TrainOutcome TrainUnderMode(const std::string& engine_name,
-                            const std::string& model_name, KernelMode mode,
-                            int ssp_slack) {
-  ScopedKernelMode scoped(mode);
-  Dataset d = TrainData(model_name);
-  ClusterSpec cluster = ClusterSpec::Cluster1();
-  cluster.num_workers = 4;
-  TrainConfig config;
-  config.model = model_name;
-  config.learning_rate = 0.3;
-  config.batch_size = 48;
-  config.block_rows = 64;
-  if (ssp_slack >= 0) {
-    config.ssp.enabled = true;
-    config.ssp.slack = ssp_slack;
-    config.ssp.compute_jitter = 0.3;
-  }
-  std::unique_ptr<Engine> engine = MakeEngine(engine_name, cluster, config);
-  EXPECT_TRUE(engine->Setup(d).ok());
-  for (int i = 0; i < 6; ++i) EXPECT_TRUE(engine->RunIteration(i).ok());
-  EXPECT_TRUE(engine->FinishTraining().ok());
-  return TrainOutcome{engine->FullModel(), engine->last_batch_loss()};
-}
-
-class KernelModeTrainingTest
-    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
-
-TEST_P(KernelModeTrainingTest, TrainedWeightsBitwiseIdenticalAcrossModes) {
-  const auto& [engine_name, model_name] = GetParam();
-  const TrainOutcome scalar =
-      TrainUnderMode(engine_name, model_name, KernelMode::kScalar, -1);
-  ASSERT_FALSE(scalar.weights.empty());
-  for (KernelMode mode : {KernelMode::kSimd, KernelMode::kThreaded}) {
-    const TrainOutcome other =
-        TrainUnderMode(engine_name, model_name, mode, -1);
-    EXPECT_EQ(other.weights, scalar.weights)
-        << engine_name << "/" << model_name << " under "
-        << kernels::KernelModeName(mode);
-    EXPECT_EQ(other.last_loss, scalar.last_loss);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    EnginesAndModels, KernelModeTrainingTest,
-    ::testing::Values(std::make_tuple("columnsgd", "lr"),
-                      std::make_tuple("columnsgd", "svm"),
-                      std::make_tuple("columnsgd", "lsq"),
-                      std::make_tuple("columnsgd", "mlr3"),
-                      std::make_tuple("columnsgd", "fm4"),
-                      std::make_tuple("mllib", "lr"),
-                      std::make_tuple("mllib", "mlr3"),
-                      std::make_tuple("mllib_star", "lr"),
-                      std::make_tuple("mllib_star", "fm4"),
-                      std::make_tuple("petuum", "lr"),
-                      std::make_tuple("petuum", "fm4"),
-                      std::make_tuple("mxnet", "lr"),
-                      std::make_tuple("mxnet", "mlr3")),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_" + std::get<1>(info.param);
-    });
-
-class KernelModeSspTest
-    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
-
-TEST_P(KernelModeSspTest, SspScheduleUnchangedAcrossModes) {
-  // Kernel modes change wall-clock execution only; the SSP schedule runs on
-  // simulated time, so slack > 0 runs stay bitwise-stable too.
-  const auto& [engine_name, slack] = GetParam();
-  const TrainOutcome scalar =
-      TrainUnderMode(engine_name, "lr", KernelMode::kScalar, slack);
-  for (KernelMode mode : {KernelMode::kSimd, KernelMode::kThreaded}) {
-    const TrainOutcome other =
-        TrainUnderMode(engine_name, "lr", mode, slack);
-    EXPECT_EQ(other.weights, scalar.weights)
-        << engine_name << " slack=" << slack << " under "
-        << kernels::KernelModeName(mode);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    EnginesAndSlack, KernelModeSspTest,
-    ::testing::Values(std::make_tuple("columnsgd", 0),
-                      std::make_tuple("columnsgd", 2),
-                      std::make_tuple("petuum", 2),
-                      std::make_tuple("mxnet", 1)),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_s" +
-             std::to_string(std::get<1>(info.param));
-    });
-
-// ---- Serving path ---------------------------------------------------------
-
-TEST(KernelModeServingTest, ShardedScoresBitwiseIdenticalAcrossModes) {
-  Dataset queries = TrainData("lr");
-  SavedModel model;
-  model.model_name = "lr";
-  model.num_features = queries.num_features;
-  model.weights = DenseModel(queries.num_features, 19);
-
-  Result<DatasetScores> scalar = [&] {
-    ScopedKernelMode scoped(KernelMode::kScalar);
-    return ScoreDatasetSharded(model, "round_robin", 4, queries, 600);
-  }();
-  ASSERT_TRUE(scalar.ok());
-  for (KernelMode mode : {KernelMode::kSimd, KernelMode::kThreaded}) {
-    ScopedKernelMode scoped(mode);
-    Result<DatasetScores> other =
-        ScoreDatasetSharded(model, "round_robin", 4, queries, 600);
-    ASSERT_TRUE(other.ok());
-    EXPECT_EQ(other->scores, scalar->scores)
-        << kernels::KernelModeName(mode);
-    EXPECT_EQ(other->avg_loss, scalar->avg_loss);
-  }
-}
-
-TEST(KernelModeServingTest, RangeShardsWithEmptySlicesStillMatch) {
-  // Range partitioning a low-dimensional model over many shards leaves some
-  // shards with nearly-empty slices — the empty-shard serving edge case.
-  SyntheticSpec spec = TinySpec();
-  spec.num_rows = 300;
-  spec.num_features = 13;
-  Dataset queries = GenerateSynthetic(spec);
-  SavedModel model;
-  model.model_name = "svm";
-  model.num_features = queries.num_features;
-  model.weights = DenseModel(queries.num_features, 29);
-
-  Result<DatasetScores> scalar = [&] {
-    ScopedKernelMode scoped(KernelMode::kScalar);
-    return ScoreDatasetSharded(model, "range", 8, queries, 300);
-  }();
-  ASSERT_TRUE(scalar.ok());
-  for (KernelMode mode : {KernelMode::kSimd, KernelMode::kThreaded}) {
-    ScopedKernelMode scoped(mode);
-    Result<DatasetScores> other =
-        ScoreDatasetSharded(model, "range", 8, queries, 300);
-    ASSERT_TRUE(other.ok());
-    EXPECT_EQ(other->scores, scalar->scores);
-  }
-}
-
 // ---- Calibration ----------------------------------------------------------
 
 kernels::CalibrationProfile SampleProfile() {
   kernels::CalibrationProfile p;
-  p.kernel_mode = "simd";
   p.ns_per_nnz_fwd = 1.25;
   p.ns_per_nnz_grad = 2.5;
   p.ns_per_element_dense = 0.5;
@@ -526,7 +327,6 @@ TEST(CalibrationProfileTest, JsonRoundTripIsExact) {
       kernels::ParseCalibrationProfile(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->schema, p.schema);
-  EXPECT_EQ(parsed->kernel_mode, p.kernel_mode);
   EXPECT_EQ(parsed->ns_per_nnz_fwd, p.ns_per_nnz_fwd);
   EXPECT_EQ(parsed->ns_per_nnz_grad, p.ns_per_nnz_grad);
   EXPECT_EQ(parsed->ns_per_element_dense, p.ns_per_element_dense);
@@ -535,6 +335,20 @@ TEST(CalibrationProfileTest, JsonRoundTripIsExact) {
   EXPECT_EQ(parsed->mem_bandwidth_bytes_per_s, p.mem_bandwidth_bytes_per_s);
   // Serialization is deterministic: same profile, same bytes.
   EXPECT_EQ(kernels::SerializeCalibrationProfile(*parsed), text);
+}
+
+TEST(CalibrationProfileTest, ParsesProfilesThatNameAKernelMode) {
+  // Older profiles carry a kernel_mode key; the reader ignores it, so they
+  // still load.
+  Result<kernels::CalibrationProfile> parsed = kernels::ParseCalibrationProfile(
+      R"({"schema":"colsgd.kernelcal/v1","kernel_mode":"threaded",)"
+      R"("ns_per_nnz_fwd":1.25,"ns_per_nnz_grad":2.5,)"
+      R"("ns_per_element_dense":0.5,"ns_per_element_update":0.75,)"
+      R"("flops_per_second":3200000000,"mem_bandwidth_bytes_per_s":21000000000})");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->ns_per_nnz_fwd, 1.25);
+  EXPECT_EQ(parsed->flops_per_second, 3.2e9);
+  EXPECT_EQ(parsed->mem_bandwidth_bytes_per_s, 2.1e10);
 }
 
 TEST(CalibrationProfileTest, RejectsWrongSchemaAndBadRates) {
@@ -581,16 +395,11 @@ TEST(KernelCalibratorTest, TinyRunProducesValidProfile) {
   options.repeats = 1;
   options.inner_iters = 1;
   const kernels::KernelCalibrator calibrator(options);
-  for (KernelMode mode : kAllModes) {
-    const kernels::CalibrationProfile profile = calibrator.Run(mode);
-    EXPECT_TRUE(profile.Valid()) << kernels::KernelModeName(mode);
-    EXPECT_EQ(profile.kernel_mode, kernels::KernelModeName(mode));
-  }
+  EXPECT_TRUE(calibrator.Run().Valid());
   // The counted-FLOP convention: 4 per nnz of the fused GLM iteration.
   EXPECT_EQ(calibrator.FusedIterationFlops(), 64u * 8u * 4u);
   EXPECT_EQ(calibrator.FusedIterationFlopsFor(128), 128u * 8u * 4u);
-  EXPECT_GT(calibrator.MeasureFusedIterationSeconds(KernelMode::kScalar, 64),
-            0.0);
+  EXPECT_GT(calibrator.MeasureFusedIterationSeconds(64), 0.0);
 }
 
 }  // namespace

@@ -42,7 +42,6 @@
 #include "datagen/synthetic.h"
 #include "engine/trainer.h"
 #include "linalg/kernels/calibrate.h"
-#include "linalg/kernels/kernels.h"
 #include "model/factory.h"
 #include "obs/critpath/dag_json.h"
 #include "obs/export.h"
@@ -264,11 +263,7 @@ int RunDriver(int argc, char** argv) {
   flags.AddInt64("batch_size", &batch_size, "training mini-batch size");
   flags.AddString("records_csv", &records_csv,
                   "dump per-request latency decompositions here");
-  std::string kernel_mode = "scalar";
   std::string calibration_path;
-  flags.AddString("kernel", &kernel_mode,
-                  "executed kernel mode (DESIGN.md §18): scalar | simd | "
-                  "threaded; scores are bitwise-identical across modes");
   flags.AddString("calibration", &calibration_path,
                   "price simulated compute at the measured kernel rates "
                   "from this colsgd_calibrate profile");
@@ -285,7 +280,6 @@ int RunDriver(int argc, char** argv) {
   // given from one left at its default.
   const std::vector<std::pair<std::string, std::string>> defaults =
       flags.Values();
-  kernels::KernelMode kmode = kernels::KernelMode::kScalar;
   flags.ParseOrExit(argc, argv, [&]() -> Status {
     const std::vector<std::pair<std::string, std::string>> values =
         flags.Values();
@@ -307,10 +301,6 @@ int RunDriver(int argc, char** argv) {
           model + " cannot score from statistics alone; it is not servable");
     }
     COLSGD_RETURN_NOT_OK(CreatePartitioner(serve.partitioner, 1, 1).status());
-    if (!kernels::ParseKernelMode(kernel_mode, &kmode)) {
-      return Status::InvalidArgument(
-          "--kernel must be scalar|simd|threaded, got '" + kernel_mode + "'");
-    }
     if (shards < 1 || shards > std::numeric_limits<int>::max() ||
         replicas < 1 || replicas > std::numeric_limits<int>::max()) {
       return Status::InvalidArgument(
@@ -438,8 +428,6 @@ int RunDriver(int argc, char** argv) {
     }
     return Status::OK();
   });
-  kernels::SetMode(kmode);
-
   ClusterSpec base_cluster = ClusterSpec::Cluster1();
   if (!calibration_path.empty()) {
     Result<kernels::CalibrationProfile> loaded =
@@ -450,16 +438,13 @@ int RunDriver(int argc, char** argv) {
     }
     base_cluster.compute = kernels::ComputeModelFromCalibration(*loaded);
     base_cluster.mem_bandwidth = loaded->mem_bandwidth_bytes_per_s;
-    std::printf("kernel: mode=%s, compute priced by %s (calibrated on %s "
-                "kernels: %.2f GFLOP/s, %.2f GB/s)\n",
-                kernels::KernelModeName(kmode), calibration_path.c_str(),
-                loaded->kernel_mode.c_str(),
-                loaded->flops_per_second / 1e9,
+    std::printf("kernel: compute priced by %s "
+                "(calibrated: %.2f GFLOP/s, %.2f GB/s)\n",
+                calibration_path.c_str(), loaded->flops_per_second / 1e9,
                 loaded->mem_bandwidth_bytes_per_s / 1e9);
   } else {
-    std::printf("kernel: mode=%s, compute priced at the Cluster1 preset "
+    std::printf("kernel: compute priced at the Cluster1 preset "
                 "(%.2f GFLOP/s)\n",
-                kernels::KernelModeName(kmode),
                 base_cluster.compute.flops_per_second / 1e9);
   }
 

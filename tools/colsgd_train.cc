@@ -24,7 +24,6 @@
 #include "engine/model_io.h"
 #include "engine/trainer.h"
 #include "linalg/kernels/calibrate.h"
-#include "linalg/kernels/kernels.h"
 #include "model/factory.h"
 #include "obs/bench/bench_result.h"
 #include "obs/critpath/dag_json.h"
@@ -263,13 +262,7 @@ int Run(int argc, char** argv) {
   flags.AddDouble("ssp_jitter", &ssp_jitter,
                   "SSP: deterministic per-(iteration, worker) compute-time "
                   "jitter fraction in [0, x)");
-  std::string kernel_mode = "scalar";
-  kernels::KernelMode kmode = kernels::KernelMode::kScalar;
   std::string calibration_path;
-  flags.AddString("kernel", &kernel_mode,
-                  "executed kernel mode (DESIGN.md §18): scalar | simd | "
-                  "threaded; trained weights are bitwise-identical across "
-                  "modes");
   flags.AddString("calibration", &calibration_path,
                   "price simulated compute at the measured kernel rates "
                   "from this colsgd_calibrate profile instead of the "
@@ -358,10 +351,6 @@ int Run(int argc, char** argv) {
       }
       COLSGD_RETURN_NOT_OK(SyntheticPreset(synthetic).status());
     }
-    if (!kernels::ParseKernelMode(kernel_mode, &kmode)) {
-      return Status::InvalidArgument(
-          "--kernel must be scalar|simd|threaded, got '" + kernel_mode + "'");
-    }
     return Status::OK();
   });
 
@@ -375,8 +364,6 @@ int Run(int argc, char** argv) {
               dataset.num_rows(),
               static_cast<unsigned long long>(dataset.num_features),
               dataset.AvgNnzPerRow(), dataset.Sparsity());
-
-  kernels::SetMode(kmode);
 
   ClusterSpec cluster = cluster2
                             ? ClusterSpec::Cluster2(static_cast<int>(workers))
@@ -505,16 +492,13 @@ int Run(int argc, char** argv) {
       static_cast<double>(result.bytes_on_wire) / 1e6,
       static_cast<unsigned long long>(result.messages));
   if (calibration_path.empty()) {
-    std::printf("kernel: mode=%s, compute priced at the %s preset "
-                "(%.2f GFLOP/s)\n",
-                kernels::KernelModeName(kmode), cluster2 ? "Cluster2" : "Cluster1",
+    std::printf("kernel: compute priced at the %s preset (%.2f GFLOP/s)\n",
+                cluster2 ? "Cluster2" : "Cluster1",
                 cluster.compute.flops_per_second / 1e9);
   } else {
-    std::printf("kernel: mode=%s, compute priced by %s "
-                "(calibrated on %s kernels: %.2f GFLOP/s, %.2f GB/s)\n",
-                kernels::KernelModeName(kmode), calibration_path.c_str(),
-                calibration.kernel_mode.c_str(),
-                calibration.flops_per_second / 1e9,
+    std::printf("kernel: compute priced by %s "
+                "(calibrated: %.2f GFLOP/s, %.2f GB/s)\n",
+                calibration_path.c_str(), calibration.flops_per_second / 1e9,
                 calibration.mem_bandwidth_bytes_per_s / 1e9);
   }
 
