@@ -83,6 +83,25 @@ class CsrBatch {
   /// column partition — common after column partitioning).
   void AppendEmptyRow() { row_offsets_.push_back(row_offsets_.back()); }
 
+  /// \brief Appends one entry to the open row; EndRow closes it. A batch
+  /// built entry by entry reuses its capacity after Clear.
+  void Push(uint32_t index, float value) {
+    indices_.push_back(index);
+    values_.push_back(value);
+  }
+  /// \brief Closes the open row: every entry pushed since the last close,
+  /// none making an empty row.
+  void EndRow() {
+    row_offsets_.push_back(static_cast<uint64_t>(indices_.size()));
+  }
+
+  /// \brief Empties the batch and keeps its capacity.
+  void Clear() {
+    indices_.clear();
+    values_.clear();
+    row_offsets_.resize(1);
+  }
+
   size_t num_rows() const { return row_offsets_.size() - 1; }
   size_t nnz() const { return indices_.size(); }
 

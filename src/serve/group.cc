@@ -222,6 +222,12 @@ std::vector<int> ShardGroup::DeadShards() const {
   return dead;
 }
 
+void ShardGroup::SplitBatch(const std::vector<uint32_t>& rows) {
+  row_views_.clear();
+  for (uint32_t row : rows) row_views_.push_back(queries_->rows.Row(row));
+  scorer_.Split(row_views_.data(), row_views_.size(), *partitioner_);
+}
+
 BatchOutcome ShardGroup::ServeBatch(const std::vector<uint32_t>& rows,
                                     double t_ready, int64_t batch_tag) {
   runtime_->SyncClockTo(frontend_, t_ready);
@@ -240,16 +246,13 @@ BatchOutcome ShardGroup::ServeBatch(const std::vector<uint32_t>& rows,
   runtime_->ChargeCompute(
       frontend_, kDispatchFlopsPerBatch + n * kDispatchFlopsPerRequest);
 
-  std::vector<SparseVectorView> views;
-  views.reserve(n);
-  for (uint32_t row : rows) views.push_back(queries_->rows.Row(row));
-  const std::vector<CsrBatch> slices = SplitBatchByShard(views, *partitioner_);
-  const ShardScoreResult scored = ScoreShardedBatch(*spec_, image, slices);
+  SplitBatch(rows);
+  const ShardScoreResult& scored = scorer_.Score(*spec_, image);
 
   // Scatter: the per-shard slices leave the frontend NIC back to back.
   double scatter_end = runtime_->clock(frontend_);
   for (int k = 0; k < num_shards; ++k) {
-    const uint64_t bytes = ScatterMessageBytes(n, slices[k].nnz());
+    const uint64_t bytes = ScatterMessageBytes(n, scorer_.slice(k).nnz());
     const double arrival =
         runtime_->Send(frontend_, shards_[static_cast<size_t>(k)], bytes);
     out.wire_bytes += bytes;
@@ -314,12 +317,9 @@ BatchOutcome ShardGroup::FailBatch(const std::vector<uint32_t>& rows,
   // slices to dead shards still cross the wire (and are lost).
   runtime_->ChargeCompute(
       frontend_, kDispatchFlopsPerBatch + n * kDispatchFlopsPerRequest);
-  std::vector<SparseVectorView> views;
-  views.reserve(n);
-  for (uint32_t row : rows) views.push_back(queries_->rows.Row(row));
-  const std::vector<CsrBatch> slices = SplitBatchByShard(views, *partitioner_);
+  SplitBatch(rows);
   for (int k = 0; k < config_.num_shards; ++k) {
-    const uint64_t bytes = ScatterMessageBytes(n, slices[k].nnz());
+    const uint64_t bytes = ScatterMessageBytes(n, scorer_.slice(k).nnz());
     runtime_->Send(frontend_, shards_[static_cast<size_t>(k)], bytes);
     out.wire_bytes += bytes;
   }

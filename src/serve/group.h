@@ -132,6 +132,9 @@ class ShardGroup {
   /// \brief Validates, shards, and ships one scheduled swap image.
   void ProcessSwap(ScheduledSwap* swap);
 
+  /// \brief Splits query rows `rows` into the scorer's per-shard slices.
+  void SplitBatch(const std::vector<uint32_t>& rows);
+
   ClusterRuntime* runtime_;
   NodeId frontend_;
   std::vector<NodeId> shards_;
@@ -147,6 +150,10 @@ class ShardGroup {
   std::vector<ScheduledFailure> failures_;
   std::vector<bool> shard_alive_;
   std::vector<double> shard_failed_at_;
+
+  // Batch execution scratch, reused across batches.
+  std::vector<SparseVectorView> row_views_;
+  ShardBatchScorer scorer_;
 
   double last_install_done_ = 0.0;  // serializes installs
   double swap_stall_seconds_ = 0.0;

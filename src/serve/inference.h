@@ -5,9 +5,10 @@
 // partial statistics against its local model partition (the exact
 // ComputePartialStats used in training), the partials reduce element-wise,
 // and ModelSpec::ScoreFromStats turns the aggregated statistics into the
-// decision value. Because the split/score math lives here — and nowhere
-// else — the online serving plane (serve/fleet.h) and the offline
-// colsgd_predict tool cannot drift: both call ScoreShardedBatch.
+// decision value. The split and the score live in ShardBatchScorer and
+// nowhere else, so the online serving plane (serve/group.h) and offline
+// scoring (ScoreDatasetSharded: colsgd_predict, the chaos checker) cannot
+// drift: both run it.
 //
 // Exactness: partial statistics are additive across column partitions, so a
 // single-shard round_robin split reproduces the row path bit-for-bit for
@@ -52,14 +53,6 @@ ShardedModelImage ShardSavedModel(const SavedModel& model,
                                   const ModelSpec& spec,
                                   const ColumnPartitioner& partitioner);
 
-/// \brief Splits a batch of full rows into per-shard slices in each shard's
-/// local index space. Rows with no features on a shard become empty rows, so
-/// every shard's slice has exactly `rows.size()` rows (row i everywhere is
-/// request i — the gather needs no row-id remapping).
-std::vector<CsrBatch> SplitBatchByShard(
-    const std::vector<SparseVectorView>& rows,
-    const ColumnPartitioner& partitioner);
-
 /// \brief What one batch of requests cost and produced.
 struct ShardScoreResult {
   std::vector<double> agg_stats;      // rows * stats_per_point, reduced
@@ -68,14 +61,47 @@ struct ShardScoreResult {
   uint64_t reduce_flops = 0;          // frontend-side reduce + score work
 };
 
-/// \brief Scores one batch: per-shard ComputePartialStats against the
-/// installed partitions, element-wise reduce, ScoreFromStats per row.
-/// `shard_slices` must come from SplitBatchByShard under the partitioner the
-/// image was sharded with. Pure function of (spec, image, slices) — the
-/// simulated clocks are charged by the caller from the returned flops.
-ShardScoreResult ScoreShardedBatch(const ModelSpec& spec,
-                                   const ShardedModelImage& image,
-                                   const std::vector<CsrBatch>& shard_slices);
+/// \brief Splits batches of full rows into per-shard slices and scores them
+/// in buffers it keeps across batches, so a batch no larger than earlier
+/// ones allocates nothing. Reuse cannot move a bit: each slice keeps its
+/// rows' entry order, each shard's partial starts at zero before
+/// ComputePartialStats adds into it, and the partials add into zeroed
+/// statistics in shard order. Single-threaded; each caller owns one.
+class ShardBatchScorer {
+ public:
+  /// \brief Splits `n` full rows into per-shard slices in each shard's local
+  /// index space. Rows with no features on a shard become empty rows, so
+  /// every slice has exactly `n` rows (row i everywhere is request i — the
+  /// gather needs no row-id remapping).
+  void Split(const SparseVectorView* rows, size_t n,
+             const ColumnPartitioner& partitioner);
+
+  /// \brief Scores the last split: per-shard ComputePartialStats against
+  /// the installed partitions, element-wise reduce, ScoreFromStats per row.
+  /// `image` must be sharded by the partitioner of the last Split. The
+  /// result stays valid until the next Split or Score; the caller charges
+  /// the simulated clocks from its flops.
+  const ShardScoreResult& Score(const ModelSpec& spec,
+                                const ShardedModelImage& image);
+
+  /// \brief Shard k's slice of the last split.
+  const CsrBatch& slice(int k) const { return slices_[k]; }
+
+ private:
+  friend std::vector<CsrBatch> SplitBatchByShard(
+      const std::vector<SparseVectorView>& rows,
+      const ColumnPartitioner& partitioner);
+
+  std::vector<CsrBatch> slices_;  // [shard]
+  BatchView view_;                // one shard's slice rows
+  std::vector<double> partial_;   // one shard's statistics
+  ShardScoreResult result_;
+};
+
+/// \brief ShardBatchScorer::Split into slices the caller keeps.
+std::vector<CsrBatch> SplitBatchByShard(
+    const std::vector<SparseVectorView>& rows,
+    const ColumnPartitioner& partitioner);
 
 /// \brief Offline dataset scoring through the same kernel (the refactored
 /// colsgd_predict path).
