@@ -14,6 +14,7 @@
 // Prints accuracy, AUC and average loss for binary models; writes per-row
 // scores with --scores_csv.
 #include <cstdio>
+#include <limits>
 
 #include "common/csv.h"
 #include "common/flags.h"
@@ -39,10 +40,14 @@ int Run(int argc, char** argv) {
   flags.AddInt64("shards", &shards, "column shards to score against");
   flags.AddString("partitioner", &partitioner, "column partitioner");
   flags.AddString("scores_csv", &scores_csv, "write per-row scores here");
-  flags.ParseOrExit(argc, argv, [&] {
-    return model_file.empty() || data_path.empty()
-               ? Status::InvalidArgument("--model_file and --data are required")
-               : CreatePartitioner(partitioner, 1, 1).status();
+  flags.ParseOrExit(argc, argv, [&]() -> Status {
+    if (model_file.empty() || data_path.empty()) {
+      return Status::InvalidArgument("--model_file and --data are required");
+    }
+    if (shards < 1 || shards > std::numeric_limits<int>::max()) {
+      return Status::InvalidArgument("--shards must be a positive int");
+    }
+    return CreatePartitioner(partitioner, 1, 1).status();
   });
 
   Result<SavedModel> saved = ReadModelFile(model_file);
