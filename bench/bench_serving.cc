@@ -63,24 +63,6 @@ struct ServingCase {
   double group_fail_at = 0.0;  // fraction of the horizon; 0 = no group loss
 };
 
-SavedModel PlantedModel(const std::string& model_name, uint64_t num_features,
-                        uint64_t seed) {
-  std::unique_ptr<ModelSpec> spec = MakeModel(model_name);
-  const int wpf = spec->weights_per_feature();
-  SavedModel model;
-  model.model_name = model_name;
-  model.num_features = num_features;
-  model.weights.resize(num_features * static_cast<uint64_t>(wpf));
-  for (uint64_t slot = 0; slot < model.weights.size(); ++slot) {
-    model.weights[slot] = 0.05 * GaussianFromHash(slot + 1, seed);
-  }
-  model.shared.resize(spec->num_shared_params());
-  for (size_t i = 0; i < model.shared.size(); ++i) {
-    model.shared[i] = 0.01 * GaussianFromHash(0x51a3edULL + i, seed);
-  }
-  return model;
-}
-
 void FillCommonMetrics(const ServeSummary& s, BenchResult* result) {
   result->metrics["us_per_request"] =
       s.throughput > 0.0 ? 1e6 / s.throughput : 0.0;

@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "model/factory.h"
 
 namespace colsgd {
 
@@ -102,6 +103,24 @@ std::vector<ServeRequest> GenerateArrivals(const WorkloadConfig& config,
     requests.push_back(req);
   }
   return requests;
+}
+
+SavedModel PlantedModel(const std::string& model_name, uint64_t num_features,
+                        uint64_t seed) {
+  std::unique_ptr<ModelSpec> spec = MakeModel(model_name);
+  SavedModel model;
+  model.model_name = model_name;
+  model.num_features = num_features;
+  model.weights.resize(num_features *
+                       static_cast<uint64_t>(spec->weights_per_feature()));
+  for (uint64_t slot = 0; slot < model.weights.size(); ++slot) {
+    model.weights[slot] = 0.05 * GaussianFromHash(slot + 1, seed);
+  }
+  model.shared.resize(spec->num_shared_params());
+  for (size_t i = 0; i < model.shared.size(); ++i) {
+    model.shared[i] = 0.01 * GaussianFromHash(0x51a3edULL + i, seed);
+  }
+  return model;
 }
 
 }  // namespace colsgd

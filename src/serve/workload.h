@@ -18,7 +18,9 @@
 //
 // Each request references one row of a query dataset (drawn uniformly from
 // an independent RNG stream), so online scores are directly comparable with
-// the offline kernel over the same rows.
+// the offline kernel over the same rows. PlantedModel is the model such a
+// workload serves when nothing was trained: the CLI, the serving bench, the
+// chaos scenarios and the tests all draw it from a seed.
 #ifndef COLSGD_SERVE_WORKLOAD_H_
 #define COLSGD_SERVE_WORKLOAD_H_
 
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "engine/model_io.h"
 
 namespace colsgd {
 
@@ -68,6 +71,12 @@ double WorkloadRateAt(const WorkloadConfig& config, double t);
 /// rows drawn uniformly from [0, num_query_rows). Deterministic in the seed.
 std::vector<ServeRequest> GenerateArrivals(const WorkloadConfig& config,
                                            size_t num_query_rows);
+
+/// \brief A `model_name` model over `num_features` features with planted
+/// Gaussian parameters drawn from `seed`: weights 0.05 x N(0, 1), shared
+/// parameters 0.01 x N(0, 1). `model_name` must name a known model.
+SavedModel PlantedModel(const std::string& model_name, uint64_t num_features,
+                        uint64_t seed);
 
 }  // namespace colsgd
 

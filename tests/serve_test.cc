@@ -44,24 +44,6 @@ Dataset TestQueries(uint64_t features = 120, uint64_t rows = 150,
   return GenerateSynthetic(spec);
 }
 
-SavedModel Planted(const std::string& model_name, uint64_t num_features,
-                   uint64_t seed) {
-  std::unique_ptr<ModelSpec> spec = MakeModel(model_name);
-  const int wpf = spec->weights_per_feature();
-  SavedModel model;
-  model.model_name = model_name;
-  model.num_features = num_features;
-  model.weights.resize(num_features * static_cast<uint64_t>(wpf));
-  for (uint64_t slot = 0; slot < model.weights.size(); ++slot) {
-    model.weights[slot] = 0.05 * GaussianFromHash(slot + 1, seed);
-  }
-  model.shared.resize(spec->num_shared_params());
-  for (size_t i = 0; i < model.shared.size(); ++i) {
-    model.shared[i] = 0.01 * GaussianFromHash(0x51a3edULL + i, seed);
-  }
-  return model;
-}
-
 bool BitEqual(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
@@ -71,7 +53,7 @@ bool BitEqual(double a, double b) {
 TEST(InferenceKernelTest, SingleShardMatchesRowScoreBitwise) {
   const Dataset queries = TestQueries();
   for (const char* name : {"lr", "svm"}) {
-    const SavedModel model = Planted(name, queries.num_features, 5);
+    const SavedModel model = PlantedModel(name, queries.num_features, 5);
     Result<DatasetScores> scored = ScoreDatasetSharded(
         model, "round_robin", 1, queries, queries.num_rows());
     ASSERT_TRUE(scored.ok()) << scored.status().ToString();
@@ -89,7 +71,7 @@ TEST(InferenceKernelTest, SingleShardMatchesRowScoreBitwise) {
 TEST(InferenceKernelTest, MultiShardMatchesRowPathClosely) {
   const Dataset queries = TestQueries();
   for (const char* name : {"lr", "fm4"}) {
-    const SavedModel model = Planted(name, queries.num_features, 5);
+    const SavedModel model = PlantedModel(name, queries.num_features, 5);
     std::unique_ptr<ModelSpec> spec = MakeModel(name);
     for (const char* partitioner : {"round_robin", "range"}) {
       Result<DatasetScores> scored = ScoreDatasetSharded(
@@ -111,7 +93,7 @@ TEST(KernelModeServingTest, RangeShardsWithEmptySlicesStillMatch) {
   // Scores still track the row path, and a rerun repeats them bit for bit.
   const Dataset queries = TestQueries(/*features=*/13, /*rows=*/300);
   for (const char* name : {"lr", "svm", "fm4"}) {
-    const SavedModel model = Planted(name, queries.num_features, 29);
+    const SavedModel model = PlantedModel(name, queries.num_features, 29);
     std::unique_ptr<ModelSpec> spec = MakeModel(name);
     Result<DatasetScores> scored =
         ScoreDatasetSharded(model, "range", 8, queries, 300);
@@ -134,7 +116,7 @@ TEST(KernelModeServingTest, RangeShardsWithEmptySlicesStillMatch) {
 
 TEST(InferenceKernelTest, MlrShardedArgmaxMatchesSingleShard) {
   const Dataset queries = TestQueries(120, 150, /*num_classes=*/4);
-  const SavedModel model = Planted("mlr4", queries.num_features, 9);
+  const SavedModel model = PlantedModel("mlr4", queries.num_features, 9);
   Result<DatasetScores> one = ScoreDatasetSharded(model, "round_robin", 1,
                                                   queries,
                                                   queries.num_rows());
@@ -223,7 +205,7 @@ TEST(InferenceKernelTest, ShardedScoresMatchHandBuiltReference) {
   for (const char* name : {"lr", "svm", "fm4", "mlr3"}) {
     const Dataset queries =
         ReferenceQueries(std::string(name) == "mlr3" ? 3 : 2);
-    const SavedModel model = Planted(name, queries.num_features, 41);
+    const SavedModel model = PlantedModel(name, queries.num_features, 41);
     std::unique_ptr<ModelSpec> spec = MakeModel(name);
     for (const Case& split : {Case{"round_robin", 1}, Case{"round_robin", 3},
                               Case{"round_robin", 8}, Case{"range", 8}}) {
@@ -278,7 +260,7 @@ TEST(InferenceKernelTest, ReusedScorerMatchesFreshScorerBitwise) {
   for (const char* name : {"lr", "svm", "fm4", "mlr3"}) {
     const Dataset queries =
         ReferenceQueries(std::string(name) == "mlr3" ? 3 : 2);
-    const SavedModel model = Planted(name, queries.num_features, 41);
+    const SavedModel model = PlantedModel(name, queries.num_features, 41);
     std::unique_ptr<ModelSpec> spec = MakeModel(name);
     for (const Case& split : {Case{"round_robin", 1}, Case{"round_robin", 3},
                               Case{"round_robin", 8}, Case{"range", 8}}) {
@@ -323,7 +305,7 @@ TEST(MlrLabelTest, RejectsLabelsOutsideClassRange) {
   // dataset meets an MLR model return the error instead of reading
   // probs[-1].
   const Dataset binary = TestQueries();
-  const SavedModel model = Planted("mlr4", binary.num_features, 9);
+  const SavedModel model = PlantedModel("mlr4", binary.num_features, 9);
   Result<DatasetScores> scored = ScoreDatasetSharded(
       model, "round_robin", 4, binary, binary.num_rows());
   EXPECT_EQ(scored.status().code(), StatusCode::kInvalidArgument);
@@ -403,18 +385,18 @@ TEST(InferenceKernelTest, SplitBatchByShardRebuildsEveryRow) {
 TEST(InferenceKernelTest, RejectsUnservableAndMismatchedModels) {
   const Dataset queries = TestQueries();
   // The MLP needs its activations, not just additive statistics.
-  SavedModel mlp = Planted("mlp8", queries.num_features, 3);
+  SavedModel mlp = PlantedModel("mlp8", queries.num_features, 3);
   EXPECT_FALSE(ScoreDatasetSharded(mlp, "round_robin", 2, queries,
                                    queries.num_rows())
                    .ok());
   // Truncated weight vector.
-  SavedModel broken = Planted("lr", queries.num_features, 3);
+  SavedModel broken = PlantedModel("lr", queries.num_features, 3);
   broken.weights.pop_back();
   EXPECT_FALSE(ScoreDatasetSharded(broken, "round_robin", 2, queries,
                                    queries.num_rows())
                    .ok());
   // Dataset wider than the model.
-  SavedModel narrow = Planted("lr", queries.num_features - 10, 3);
+  SavedModel narrow = PlantedModel("lr", queries.num_features - 10, 3);
   EXPECT_FALSE(ScoreDatasetSharded(narrow, "round_robin", 2, queries,
                                    queries.num_rows())
                    .ok());
@@ -488,7 +470,7 @@ ServedRun ServeSteady(const Dataset& queries, Tracer* tracer = nullptr,
       ClusterSpec::Cluster1(), SingleFrontend(config), &queries);
   if (tracer != nullptr) run.frontend->set_tracer(tracer);
   EXPECT_TRUE(
-      run.frontend->Install(Planted("lr", queries.num_features, 5)).ok());
+      run.frontend->Install(PlantedModel("lr", queries.num_features, 5)).ok());
   WorkloadConfig workload;
   workload.rate = rate;
   workload.num_requests = num_requests;
@@ -534,7 +516,7 @@ TEST(ServeFrontendTest, OnlineScoresMatchOfflineKernelBitwise) {
   const Dataset queries = TestQueries();
   const ServedRun run = ServeSteady(queries);
   Result<DatasetScores> offline =
-      ScoreDatasetSharded(Planted("lr", queries.num_features, 5),
+      ScoreDatasetSharded(PlantedModel("lr", queries.num_features, 5),
                           "round_robin", 4, queries, queries.num_rows());
   ASSERT_TRUE(offline.ok());
   for (const RequestRecord& rec : run.frontend->records()) {
@@ -585,9 +567,9 @@ TEST(ServeFrontendTest, HotSwapDropsNothingAndNeverMixesGenerations) {
   config.num_shards = 4;
   ServeFleet frontend(ClusterSpec::Cluster1(), SingleFrontend(config),
                       &queries);
-  const SavedModel gen0 = Planted("lr", queries.num_features, 5);
-  const SavedModel gen1 = Planted("lr", queries.num_features, 6);
-  const SavedModel gen2 = Planted("lr", queries.num_features, 7);
+  const SavedModel gen0 = PlantedModel("lr", queries.num_features, 5);
+  const SavedModel gen1 = PlantedModel("lr", queries.num_features, 6);
+  const SavedModel gen2 = PlantedModel("lr", queries.num_features, 7);
   ASSERT_TRUE(frontend.Install(gen0).ok());
   WorkloadConfig workload;
   workload.rate = 3000.0;
@@ -651,10 +633,10 @@ TEST(ServeFrontendTest, DamagedSwapImageIsRejectedAndServingContinues) {
   config.num_shards = 2;
   ServeFleet frontend(ClusterSpec::Cluster1(), SingleFrontend(config),
                       &queries);
-  const SavedModel gen0 = Planted("lr", queries.num_features, 5);
+  const SavedModel gen0 = PlantedModel("lr", queries.num_features, 5);
   ASSERT_TRUE(frontend.Install(gen0).ok());
   std::vector<uint8_t> image =
-      SerializeModel(Planted("lr", queries.num_features, 6));
+      SerializeModel(PlantedModel("lr", queries.num_features, 6));
   image[image.size() / 2] ^= 0x10;  // bit rot
   frontend.ScheduleSwapImage(0.05, std::move(image), 10);
   WorkloadConfig workload;
@@ -686,7 +668,7 @@ TEST(ServeFrontendTest, ShardFailureTimesOutOneBatchThenFailsOver) {
   config.num_shards = 4;
   ServeFleet frontend(ClusterSpec::Cluster1(), SingleFrontend(config),
                       &queries);
-  const SavedModel gen0 = Planted("lr", queries.num_features, 5);
+  const SavedModel gen0 = PlantedModel("lr", queries.num_features, 5);
   ASSERT_TRUE(frontend.Install(gen0).ok());
   frontend.ScheduleShardFailure(0.05, /*group=*/0, 2);
   WorkloadConfig workload;
@@ -734,7 +716,7 @@ TEST(ServeFrontendTest, BoundedQueueRejectsOverload) {
   ServeFleet frontend(ClusterSpec::Cluster1(), SingleFrontend(config),
                       &queries);
   ASSERT_TRUE(
-      frontend.Install(Planted("lr", queries.num_features, 5)).ok());
+      frontend.Install(PlantedModel("lr", queries.num_features, 5)).ok());
   WorkloadConfig workload;
   workload.rate = 50000.0;  // far beyond the service rate
   workload.num_requests = 400;
@@ -762,7 +744,7 @@ TEST(ServeFrontendTest, RejectPathChargesControlBytesExactlyOnce) {
                       &queries);
   frontend.set_tracer(&tracer);
   ASSERT_TRUE(
-      frontend.Install(Planted("lr", queries.num_features, 5)).ok());
+      frontend.Install(PlantedModel("lr", queries.num_features, 5)).ok());
   WorkloadConfig workload;
   workload.rate = 50000.0;
   workload.num_requests = 400;
@@ -796,19 +778,19 @@ TEST(ServeFrontendTest, InstallValidatesModels) {
     ServeFleet frontend(ClusterSpec::Cluster1(), SingleFrontend(config),
                         &queries);
     EXPECT_FALSE(
-        frontend.Install(Planted("mlp8", queries.num_features, 3)).ok());
+        frontend.Install(PlantedModel("mlp8", queries.num_features, 3)).ok());
   }
   {
     ServeFleet frontend(ClusterSpec::Cluster1(), SingleFrontend(config),
                         &queries);
     EXPECT_FALSE(
-        frontend.Install(Planted("lr", queries.num_features - 30, 3)).ok())
+        frontend.Install(PlantedModel("lr", queries.num_features - 30, 3)).ok())
         << "queries wider than the model must be rejected";
   }
   {
     ServeFleet frontend(ClusterSpec::Cluster1(), SingleFrontend(config),
                         &queries);
-    SavedModel truncated = Planted("lr", queries.num_features, 3);
+    SavedModel truncated = PlantedModel("lr", queries.num_features, 3);
     truncated.weights.pop_back();
     EXPECT_FALSE(frontend.Install(truncated).ok());
   }
@@ -816,8 +798,9 @@ TEST(ServeFrontendTest, InstallValidatesModels) {
 
 TEST(GenerationRegistryTest, FlipsAtInstallCompletion) {
   GenerationRegistry registry;
-  ShardedModelImage image;
-  image.model_name = "lr";
+  ShardedModelImage lr;
+  lr.model_name = "lr";
+  const auto image = std::make_shared<const ShardedModelImage>(lr);
   GenerationInfo info;
   info.generation = 0;
   info.install_start = 0.0;

@@ -51,24 +51,6 @@
 namespace colsgd {
 namespace {
 
-SavedModel PlantedModel(const std::string& model_name, uint64_t num_features,
-                        uint64_t seed) {
-  std::unique_ptr<ModelSpec> spec = MakeModel(model_name);
-  const int wpf = spec->weights_per_feature();
-  SavedModel model;
-  model.model_name = model_name;
-  model.num_features = num_features;
-  model.weights.resize(num_features * static_cast<uint64_t>(wpf));
-  for (uint64_t slot = 0; slot < model.weights.size(); ++slot) {
-    model.weights[slot] = 0.05 * GaussianFromHash(slot + 1, seed);
-  }
-  model.shared.resize(spec->num_shared_params());
-  for (size_t i = 0; i < model.shared.size(); ++i) {
-    model.shared[i] = 0.01 * GaussianFromHash(0x51a3edULL + i, seed);
-  }
-  return model;
-}
-
 const char* StatusName(RequestStatus status) {
   switch (status) {
     case RequestStatus::kCompleted: return "completed";
