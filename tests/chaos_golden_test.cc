@@ -52,9 +52,9 @@ const CiCommand kCiCommands[] = {
     {{"--scenario", "serving", "--seeds", "0..15", "--artifact",
       "serving_chaos_repro.json"},
      "chaos(serving): 16 schedule(s), 0 failure(s)"},
-    {{"--scenario", "serving_fleet", "--seeds", "0..15", "--artifact",
+    {{"--scenario", "serving_fleet", "--seeds", "0..63", "--artifact",
       "fleet_chaos_repro.json"},
-     "chaos(serving_fleet): 16 schedule(s), 0 failure(s)"},
+     "chaos(serving_fleet): 64 schedule(s), 0 failure(s)"},
 };
 
 std::string ReadFileOrEmpty(const std::string& path) {
@@ -87,7 +87,7 @@ TEST(ChaosGoldenTest, CiSchedulesMatchCheckedInFingerprints) {
   }
   const std::vector<std::string> golden =
       SplitLines(ReadFileOrEmpty(kGoldenPath));
-  ASSERT_EQ(golden.size(), 288u)
+  ASSERT_EQ(golden.size(), 336u)
       << "missing or truncated golden file " << kGoldenPath
       << "; run with COLSGD_REGEN_GOLDEN=1 to create it";
   const std::vector<std::string> got = SplitLines(lines);
