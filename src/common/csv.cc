@@ -12,6 +12,12 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
+std::string FormatDoubleExact(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
 Status CsvWriter::Open(const std::string& path,
                        const std::vector<std::string>& header) {
   out_.open(path);

@@ -33,6 +33,10 @@ class CsvWriter {
 /// \brief Formats a double compactly (%.6g).
 std::string FormatDouble(double v);
 
+/// \brief Formats a double in a round-trip form (%.17g): strtod reads back
+/// the same bits.
+std::string FormatDoubleExact(double v);
+
 }  // namespace colsgd
 
 #endif  // COLSGD_COMMON_CSV_H_

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 
 #include "common/bytes.h"
 #include "common/crc32c.h"
@@ -371,6 +372,19 @@ TEST(FormatDoubleTest, CompactRepresentation) {
   EXPECT_EQ(FormatDouble(1.0), "1");
   EXPECT_EQ(FormatDouble(0.125), "0.125");
   EXPECT_EQ(FormatDouble(1e9), "1e+09");
+}
+
+TEST(FormatDoubleTest, ExactFormRoundTripsBitForBit) {
+  for (const double v : {0.1, 1.0 / 3.0, -0.0,
+                         std::numeric_limits<double>::denorm_min() * 12345,
+                         std::numeric_limits<double>::max()}) {
+    const std::string text = FormatDoubleExact(v);
+    const double back = std::strtod(text.c_str(), nullptr);
+    EXPECT_EQ(std::bit_cast<uint64_t>(back), std::bit_cast<uint64_t>(v))
+        << text;
+  }
+  EXPECT_NE(FormatDouble(1.0 / 3.0), FormatDoubleExact(1.0 / 3.0))
+      << "six digits cannot hold 1/3";
 }
 
 TEST(Crc32cTest, KnownVectors) {

@@ -12,7 +12,7 @@
 // score is the argmax class id and AUC is not reported).
 //
 // Prints accuracy, AUC and average loss for binary models; writes per-row
-// scores with --scores_csv.
+// scores with --scores_csv, each in a round-trip form (%.17g).
 #include <cstdio>
 #include <limits>
 
@@ -110,9 +110,10 @@ int Run(int argc, char** argv) {
       return 1;
     }
     for (size_t i = 0; i < result.rows; ++i) {
-      csv.WriteNumericRow({static_cast<double>(i),
-                           static_cast<double>(data->labels[i]),
-                           result.scores[i]});
+      // Scores print in a round-trip form, so a score file pins every bit.
+      csv.WriteRow({FormatDouble(static_cast<double>(i)),
+                    FormatDouble(static_cast<double>(data->labels[i])),
+                    FormatDoubleExact(result.scores[i])});
     }
     std::printf("scores written to %s\n", scores_csv.c_str());
   }
