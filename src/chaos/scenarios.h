@@ -3,8 +3,11 @@
 #ifndef COLSGD_CHAOS_SCENARIOS_H_
 #define COLSGD_CHAOS_SCENARIOS_H_
 
+#include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaos/chaos.h"
@@ -17,6 +20,19 @@ std::unique_ptr<Scenario> MakeTrainingScenario(const std::string& name);
 
 /// \brief "serving" or "serving_fleet"; nullptr otherwise.
 std::unique_ptr<Scenario> MakeServingScenario(const std::string& name);
+
+/// \brief Every size and count a scenario reads must be at least one: an
+/// InvalidArgument naming the first (flag, value) pair of `counts` below it.
+inline Status CheckCounts(
+    std::initializer_list<std::pair<const char*, int64_t>> counts) {
+  for (const auto& [flag, value] : counts) {
+    if (value < 1) {
+      return Status::InvalidArgument(std::string("--") + flag +
+                                     " must be >= 1");
+    }
+  }
+  return Status::OK();
+}
 
 /// \brief Appends "kind:0", "kind:1", ... for each of `items`.
 template <typename T>
