@@ -86,11 +86,17 @@ TEST(MllibEngineTest, MasterOutOfMemoryOnHugeModelBudget) {
 }
 
 TEST(MllibEngineTest, FailsWhenAWorkerGetsNoRows) {
+  // Every row engine deals whole blocks to workers; ColumnSGD splits each
+  // block by columns, so one block still reaches every worker.
   Dataset d = TestData(100, 50);
   TrainConfig config = Config();
   config.block_rows = 200;  // one block only, workers 1..3 starve
-  MllibEngine engine(Cluster(), config);
-  EXPECT_TRUE(engine.Setup(d).IsFailedPrecondition());
+  for (const char* name : {"mllib", "mllib_star", "petuum", "mxnet"}) {
+    auto engine = MakeEngine(name, Cluster(), config);
+    EXPECT_TRUE(engine->Setup(d).IsFailedPrecondition()) << name;
+  }
+  ColumnSgdEngine column(Cluster(), config);
+  EXPECT_TRUE(column.Setup(d).ok());
 }
 
 TEST(PsEngineTest, DenseAndSparseModesProduceIdenticalModels) {

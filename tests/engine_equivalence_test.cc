@@ -341,9 +341,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 std::unique_ptr<Engine> MakeSspCapableEngine(const std::string& engine,
                                              int workers,
-                                             const TrainConfig& config) {
+                                             const TrainConfig& config,
+                                             bool fp32_statistics = false) {
   if (engine == "columnsgd") {
-    return std::make_unique<ColumnSgdEngine>(Cluster(workers), config);
+    ColumnSgdOptions options;
+    options.fp32_statistics = fp32_statistics;
+    return std::make_unique<ColumnSgdEngine>(Cluster(workers), config,
+                                             options);
   }
   PsOptions options;
   options.sparse_pull = engine == "mxnet";
@@ -353,6 +357,20 @@ std::unique_ptr<Engine> MakeSspCapableEngine(const std::string& engine,
 class SspZeroSlackTest
     : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
 };
+
+/// Trains `engine` for `iterations` under `faults`, recording one sample
+/// per iteration, and drains it.
+void TrainRecorded(Engine* engine, const FaultConfig& faults,
+                   const Dataset& d, int iterations,
+                   TimeSeriesRecorder* recorder) {
+  engine->set_recorder(recorder);
+  ASSERT_TRUE(engine->set_faults(faults).ok());
+  ASSERT_TRUE(engine->Setup(d).ok());
+  for (int i = 0; i < iterations; ++i) {
+    ASSERT_TRUE(engine->RunIteration(i).ok());
+  }
+  ASSERT_TRUE(engine->FinishTraining().ok());
+}
 
 TEST_P(SspZeroSlackTest, ZeroSlackIsBitwiseBsp) {
   const auto& [engine_name, model_name] = GetParam();
@@ -369,31 +387,55 @@ TEST_P(SspZeroSlackTest, ZeroSlackIsBitwiseBsp) {
   FaultConfig faults;
   faults.plan = FaultPlan(fault_config);
 
-  TrainConfig bsp_config = Config(model_name);
-  auto bsp = MakeSspCapableEngine(engine_name, workers, bsp_config);
-  ASSERT_TRUE(bsp->set_faults(faults).ok());
-  ASSERT_TRUE(bsp->Setup(d).ok());
-  for (int i = 0; i < iterations; ++i) {
-    ASSERT_TRUE(bsp->RunIteration(i).ok());
-  }
-  ASSERT_TRUE(bsp->FinishTraining().ok());
+  // ColumnSGD also runs with float32 statistics, which round both the
+  // partial and the reduced statistics.
+  std::vector<bool> fp32_values = {false};
+  if (engine_name == "columnsgd") fp32_values.push_back(true);
+  for (const bool fp32 : fp32_values) {
+    SCOPED_TRACE(engine_name + "/" + model_name +
+                 (fp32 ? " fp32 statistics" : ""));
+    TrainConfig bsp_config = Config(model_name);
+    auto bsp = MakeSspCapableEngine(engine_name, workers, bsp_config, fp32);
+    TimeSeriesRecorder bsp_recorder;
+    TrainRecorded(bsp.get(), faults, d, iterations, &bsp_recorder);
+    if (HasFatalFailure()) return;
 
-  TrainConfig ssp_config = Config(model_name);
-  ssp_config.ssp.enabled = true;
-  ssp_config.ssp.slack = 0;
-  auto ssp = MakeSspCapableEngine(engine_name, workers, ssp_config);
-  ASSERT_TRUE(ssp->set_faults(faults).ok());
-  ASSERT_TRUE(ssp->Setup(d).ok());
-  for (int i = 0; i < iterations; ++i) {
-    ASSERT_TRUE(ssp->RunIteration(i).ok());
-  }
-  ASSERT_TRUE(ssp->FinishTraining().ok());
+    TrainConfig ssp_config = Config(model_name);
+    ssp_config.ssp.enabled = true;
+    ssp_config.ssp.slack = 0;
+    auto ssp = MakeSspCapableEngine(engine_name, workers, ssp_config, fp32);
+    TimeSeriesRecorder ssp_recorder;
+    TrainRecorded(ssp.get(), faults, d, iterations, &ssp_recorder);
+    if (HasFatalFailure()) return;
 
-  EXPECT_EQ(bsp->FullModel(), ssp->FullModel())
-      << engine_name << "/" << model_name;
-  EXPECT_DOUBLE_EQ(bsp->last_batch_loss(), ssp->last_batch_loss());
-  EXPECT_EQ(ssp->ssp_accounting().max_staleness_observed, 0);
-  EXPECT_EQ(ssp->ssp_accounting().stale_reads, 0);
+    const std::vector<double> bsp_model = bsp->FullModel();
+    const std::vector<double> ssp_model = ssp->FullModel();
+    ASSERT_EQ(bsp_model.size(), ssp_model.size());
+    EXPECT_EQ(std::memcmp(bsp_model.data(), ssp_model.data(),
+                          bsp_model.size() * sizeof(double)),
+              0);
+    if (engine_name == "columnsgd") {
+      const std::vector<double>& bsp_shared =
+          static_cast<ColumnSgdEngine*>(bsp.get())->shared_params();
+      const std::vector<double>& ssp_shared =
+          static_cast<ColumnSgdEngine*>(ssp.get())->shared_params();
+      ASSERT_EQ(bsp_shared.size(), ssp_shared.size());
+      for (size_t i = 0; i < bsp_shared.size(); ++i) {
+        EXPECT_EQ(Bits(bsp_shared[i]), Bits(ssp_shared[i])) << "shared " << i;
+      }
+    }
+    ASSERT_EQ(bsp_recorder.samples().size(),
+              static_cast<size_t>(iterations));
+    ASSERT_EQ(ssp_recorder.samples().size(),
+              static_cast<size_t>(iterations));
+    for (int i = 0; i < iterations; ++i) {
+      EXPECT_EQ(Bits(bsp_recorder.samples()[i].batch_loss),
+                Bits(ssp_recorder.samples()[i].batch_loss))
+          << "iteration " << i;
+    }
+    EXPECT_EQ(ssp->ssp_accounting().max_staleness_observed, 0);
+    EXPECT_EQ(ssp->ssp_accounting().stale_reads, 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
