@@ -1,7 +1,6 @@
 #include "engine/columnsgd.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/host_memory.h"
 #include "common/logging.h"
@@ -302,14 +301,134 @@ void ColumnSgdEngine::ChargeCheckpointGather() {
   }
 }
 
+uint64_t ColumnSgdEngine::StatsBytes() const {
+  const size_t stat_width =
+      options_.fp32_statistics ? sizeof(float) : sizeof(double);
+  return 16 + config_.batch_size * model_->stats_per_point() * stat_width;
+}
+
+uint64_t ColumnSgdEngine::ComputeStat(int g, const std::vector<RowRef>& batch,
+                                      BatchView* view,
+                                      std::vector<double>* stats) const {
+  *view = MakeBatchView(groups_[g], batch);
+  stats->assign(batch.size() * model_->stats_per_point(), 0.0);
+  FlopCounter flops;
+  flops.Add(batch.size() * kSampleFlops);
+  model_->ComputePartialStats(*view, groups_[g].weights, stats, &flops);
+  if (options_.fp32_statistics) {
+    // Model the precision actually shipped on the wire.
+    for (double& v : *stats) v = static_cast<float>(v);
+  }
+  return flops.flops();
+}
+
+int ColumnSgdEngine::RunStatTask(const std::vector<int>& members,
+                                 uint64_t flops, int64_t iteration,
+                                 bool jitter) {
+  const double compute_seconds = cluster_spec_.compute.SecondsFor(flops);
+  // A straggler's slowdown applies to its whole task (launch + compute),
+  // matching the paper's StragglerLevel definition (Section V-C); SSP
+  // jitter scales it the same way.
+  const double task_seconds =
+      compute_seconds + SchedOverhead(kDefaultSchedOverhead);
+  auto level = [&](int w) {
+    const double straggler = StragglerLevelFor(iteration, w);
+    return jitter ? straggler + SspJitterLevel(iteration, w) : straggler;
+  };
+  int winner = -1;
+  SimTime finish = 0.0;
+  for (int w : members) {
+    const SimTime t = runtime_->clock(runtime_->worker_node(w)) +
+                      compute_seconds + level(w) * task_seconds;
+    if (winner < 0 || t < finish) {
+      winner = w;
+      finish = t;
+    }
+  }
+  const NodeId node = runtime_->worker_node(winner);
+  if (critpath_ != nullptr) {
+    // Split the jump into its compute and straggler parts, using the exact
+    // arithmetic of `t` above.
+    critpath_->AnnotateAdvance(node, compute_seconds, flops,
+                               level(winner) * task_seconds);
+  }
+  if (tracer_ != nullptr) {
+    // Charged via set_clock, not ChargeCompute, because backup replicas
+    // race on the same work.
+    tracer_->RecordCompute(node, runtime_->clock(node),
+                           finish - runtime_->clock(node), flops);
+  }
+  runtime_->set_clock(node, finish);
+  return winner;
+}
+
+std::vector<double> ColumnSgdEngine::ReduceStat(
+    const std::vector<std::vector<double>>& group_stats,
+    const std::vector<float>& labels) {
+  const size_t B = config_.batch_size;
+  const int spp = model_->stats_per_point();
+  std::vector<double> agg_stats(B * spp, 0.0);
+  for (const std::vector<double>& stats : group_stats) {
+    AddInto(stats, &agg_stats);
+  }
+  if (options_.fp32_statistics) {
+    for (double& v : agg_stats) v = static_cast<float>(v);
+  }
+  runtime_->ChargeCompute(runtime_->master(),
+                          static_cast<uint64_t>(num_groups_) * B * spp);
+  // Training loss of this batch: any worker can compute it locally from the
+  // aggregated statistics and its replicated labels (plus the replicated
+  // shared parameters, for models that have them).
+  last_batch_loss_ =
+      model_->BatchLossFromStatsShared(agg_stats, labels, shared_) /
+      static_cast<double>(B);
+  return agg_stats;
+}
+
+std::vector<double> ColumnSgdEngine::UpdateGroup(
+    int g, const BatchView& view, const std::vector<double>& agg_stats,
+    const std::vector<double>& shared) {
+  GroupState& state = groups_[g];
+  const size_t B = config_.batch_size;
+  FlopCounter flops;
+  std::vector<double> shared_grad(shared.size(), 0.0);
+  model_->AccumulateGradFromStatsShared(view, agg_stats, state.weights,
+                                        shared, state.grad.get(),
+                                        &shared_grad, &flops);
+  flops.Add(B);  // local loss bookkeeping
+  // Partitions are disjoint across groups, so summing each group's squared
+  // gradient norm yields the full model's (telemetry only).
+  ApplySparseUpdate(state.grad.get(), B, config_.reg, state.optimizer.get(),
+                    &state.weights, &state.opt_state, &flops,
+                    grad_sq_accum());
+  flops.Add(8 * shared_.size());
+  // Elastic runs charge the update on every alive holder: replicas stay in
+  // lock-step with the owner, which is what makes promotion free of state
+  // movement when the owner dies.
+  for (int w : GroupUpdateMembers(g)) {
+    runtime_->ChargeCompute(runtime_->worker_node(w), flops.flops());
+  }
+  return shared_grad;
+}
+
+void ColumnSgdEngine::UpdateShared() {
+  if (shared_.empty()) return;
+  shared_optimizer_->BeginStep();
+  const int sps = shared_optimizer_->state_per_slot();
+  double* grad_sq = grad_sq_accum();
+  for (size_t i = 0; i < shared_.size(); ++i) {
+    const double g = shared_grad_[i] / static_cast<double>(config_.batch_size) +
+                     config_.reg.Grad(shared_[i]);
+    *grad_sq += g * g;
+    double* state = sps > 0 ? shared_opt_state_.data() + i * sps : nullptr;
+    shared_optimizer_->ApplyUpdate(&shared_[i], g, state);
+  }
+}
+
 Status ColumnSgdEngine::DoRunIteration(int64_t iteration) {
   if (config_.ssp.enabled) return DoRunIterationSsp(iteration);
   const std::vector<int> active = ActiveWorkers();
-  const size_t B = config_.batch_size;
-  const int spp = model_->stats_per_point();
-  const size_t stat_width =
-      options_.fp32_statistics ? sizeof(float) : sizeof(double);
-  const uint64_t stats_bytes = 16 + B * spp * stat_width;
+  const uint64_t stats_bytes = StatsBytes();
 
   // Driver dispatch.
   TracePhase(Phase::kSerialization);
@@ -322,7 +441,8 @@ Status ColumnSgdEngine::DoRunIteration(int64_t iteration) {
   TracePhase(Phase::kWire);  // master now waits on the statistics gather
 
   // Every node draws the same batch from the shared seed (two-phase index).
-  const std::vector<RowRef> batch = sampler_->Sample(iteration, B);
+  const std::vector<RowRef> batch =
+      sampler_->Sample(iteration, config_.batch_size);
 
   // Step 1: computeStat on each worker. Replicas of a group compute the
   // same statistics; we materialize them once per group and charge each
@@ -331,17 +451,7 @@ Status ColumnSgdEngine::DoRunIteration(int64_t iteration) {
   std::vector<BatchView> group_views(num_groups_);
   std::vector<uint64_t> group_flops(num_groups_);
   for (int g = 0; g < num_groups_; ++g) {
-    group_views[g] = MakeBatchView(groups_[g], batch);
-    group_stats[g].assign(B * spp, 0.0);
-    FlopCounter flops;
-    flops.Add(B * kSampleFlops);
-    model_->ComputePartialStats(group_views[g], groups_[g].weights,
-                                &group_stats[g], &flops);
-    if (options_.fp32_statistics) {
-      // Model the precision actually shipped on the wire.
-      for (double& v : group_stats[g]) v = static_cast<float>(v);
-    }
-    group_flops[g] = flops.flops();
+    group_flops[g] = ComputeStat(g, batch, &group_views[g], &group_stats[g]);
   }
 
   // Step 2: workers push statistics; the master needs one reply per group.
@@ -349,50 +459,14 @@ Status ColumnSgdEngine::DoRunIteration(int64_t iteration) {
   // other replicas' tasks once the statistics are recoverable (Section IV-B)
   // — killed replicas skip the push and resume at the broadcast.
   SimTime gather_time = runtime_->clock(runtime_->master());
-  std::vector<SimTime> group_reply(num_groups_);
   std::vector<int> group_winner(num_groups_);
   for (int g = 0; g < num_groups_; ++g) {
-    SimTime earliest_finish = std::numeric_limits<double>::infinity();
-    int winner = -1;
-    for (int w : GroupComputeMembers(g)) {
-      const double compute_seconds =
-          cluster_spec_.compute.SecondsFor(group_flops[g]);
-      // A straggler's slowdown applies to its whole task (launch + compute),
-      // matching the paper's StragglerLevel definition (Section V-C).
-      const double task_seconds =
-          compute_seconds + SchedOverhead(kDefaultSchedOverhead);
-      const SimTime finish =
-          runtime_->clock(runtime_->worker_node(w)) + compute_seconds +
-          StragglerLevelFor(iteration, w) * task_seconds;
-      if (finish < earliest_finish) {
-        earliest_finish = finish;
-        winner = w;
-      }
-    }
-    group_winner[g] = winner;
-    const NodeId node = runtime_->worker_node(winner);
-    if (critpath_ != nullptr) {
-      // Split the winner's jump into its compute and straggler parts, using
-      // the exact arithmetic of the `finish` expression above.
-      const double compute_seconds =
-          cluster_spec_.compute.SecondsFor(group_flops[g]);
-      const double task_seconds =
-          compute_seconds + SchedOverhead(kDefaultSchedOverhead);
-      critpath_->AnnotateAdvance(
-          node, compute_seconds, group_flops[g],
-          StragglerLevelFor(iteration, winner) * task_seconds);
-    }
-    if (tracer_ != nullptr) {
-      // The winner's computeStat block (charged below via set_clock, not
-      // ChargeCompute, because backup replicas race on the same work).
-      tracer_->RecordCompute(node, runtime_->clock(node),
-                             earliest_finish - runtime_->clock(node),
-                             group_flops[g]);
-    }
-    runtime_->set_clock(node, earliest_finish);
-    group_reply[g] =
-        SendWithFaults(node, runtime_->master(), stats_bytes, iteration);
-    gather_time = std::max(gather_time, group_reply[g]);
+    group_winner[g] = RunStatTask(GroupComputeMembers(g), group_flops[g],
+                                  iteration, /*jitter=*/false);
+    gather_time = std::max(
+        gather_time,
+        SendWithFaults(runtime_->worker_node(group_winner[g]),
+                       runtime_->master(), stats_bytes, iteration));
   }
   runtime_->set_clock(runtime_->master(), gather_time);
   TracePhase(Phase::kCompute);  // reduceStat + loss on the master
@@ -405,24 +479,9 @@ Status ColumnSgdEngine::DoRunIteration(int64_t iteration) {
     }
   }
 
-  // Step 3: reduceStat — element-wise sum across groups.
-  std::vector<double> agg_stats(B * spp, 0.0);
-  for (int g = 0; g < num_groups_; ++g) {
-    AddInto(group_stats[g], &agg_stats);
-  }
-  if (options_.fp32_statistics) {
-    for (double& v : agg_stats) v = static_cast<float>(v);
-  }
-  runtime_->ChargeCompute(runtime_->master(),
-                          static_cast<uint64_t>(num_groups_) * B * spp);
-
-  // Training loss of this batch: any worker can compute it locally from the
-  // aggregated statistics and its replicated labels (plus the replicated
-  // shared parameters, for models that have them).
-  last_batch_loss_ =
-      model_->BatchLossFromStatsShared(agg_stats, group_views[0].labels,
-                                       shared_) /
-      static_cast<double>(B);
+  // Step 3: reduceStat — element-wise sum across groups — and the loss.
+  const std::vector<double> agg_stats =
+      ReduceStat(group_stats, group_views[0].labels);
 
   // Step 4: broadcast the aggregated statistics back.
   for (int w : active) {
@@ -435,62 +494,17 @@ Status ColumnSgdEngine::DoRunIteration(int64_t iteration) {
   // block's gradient is identical on every worker — it is a function of the
   // broadcast statistics alone — so one update stands in for all replicas.
   for (int g = 0; g < num_groups_; ++g) {
-    GroupState& state = groups_[g];
-    FlopCounter flops;
-    std::vector<double> group_shared_grad(shared_.size(), 0.0);
-    model_->AccumulateGradFromStatsShared(group_views[g], agg_stats,
-                                          state.weights, shared_,
-                                          state.grad.get(),
-                                          &group_shared_grad, &flops);
-    if (g == 0) shared_grad_ = std::move(group_shared_grad);
-    flops.Add(B);  // local loss bookkeeping
-    // Partitions are disjoint across groups, so summing each group's squared
-    // gradient norm yields the full model's (telemetry only).
-    ApplySparseUpdate(state.grad.get(), B, config_.reg, state.optimizer.get(),
-                      &state.weights, &state.opt_state, &flops,
-                      grad_sq_accum());
-    flops.Add(8 * shared_.size());
-    // Elastic runs charge the update on every alive holder: replicas stay in
-    // lock-step with the owner, which is what makes promotion free of state
-    // movement when the owner dies.
-    for (int w : GroupUpdateMembers(g)) {
-      runtime_->ChargeCompute(runtime_->worker_node(w), flops.flops());
-    }
+    std::vector<double> shared_grad =
+        UpdateGroup(g, group_views[g], agg_stats, shared_);
+    if (g == 0) shared_grad_ = std::move(shared_grad);
   }
-  if (!shared_.empty()) {
-    shared_optimizer_->BeginStep();
-    const int sps = shared_optimizer_->state_per_slot();
-    double* grad_sq = grad_sq_accum();
-    for (size_t i = 0; i < shared_.size(); ++i) {
-      const double g = shared_grad_[i] / static_cast<double>(B) +
-                       config_.reg.Grad(shared_[i]);
-      *grad_sq += g * g;
-      double* state = sps > 0 ? shared_opt_state_.data() + i * sps : nullptr;
-      shared_optimizer_->ApplyUpdate(&shared_[i], g, state);
-    }
-  }
+  UpdateShared();
   return Status::OK();
 }
 
 void ColumnSgdEngine::ApplySspRecord(int g, const SspRecord& record) {
-  GroupState& state = groups_[g];
-  const size_t B = record.batch.size();
-  const BatchView view = MakeBatchView(state, record.batch);
-  // Bitwise the BSP step-5 update: same gradient recipe, same flop charges,
-  // evaluated against the shared parameters frozen in the record.
-  FlopCounter flops;
-  std::vector<double> group_shared_grad(record.shared_before.size(), 0.0);
-  model_->AccumulateGradFromStatsShared(view, record.agg_stats, state.weights,
-                                        record.shared_before, state.grad.get(),
-                                        &group_shared_grad, &flops);
-  flops.Add(B);  // local loss bookkeeping
-  ApplySparseUpdate(state.grad.get(), B, config_.reg, state.optimizer.get(),
-                    &state.weights, &state.opt_state, &flops,
-                    grad_sq_accum());
-  flops.Add(8 * shared_.size());
-  for (int w : GroupUpdateMembers(g)) {
-    runtime_->ChargeCompute(runtime_->worker_node(w), flops.flops());
-  }
+  UpdateGroup(g, MakeBatchView(groups_[g], record.batch), record.agg_stats,
+              record.shared_before);
   ssp_applied_through_[g] = record.iteration;
   ssp_.applied[g][static_cast<size_t>(record.iteration)] += 1;
   ++ssp_.updates_applied;
@@ -498,11 +512,7 @@ void ColumnSgdEngine::ApplySspRecord(int g, const SspRecord& record) {
 
 Status ColumnSgdEngine::DoRunIterationSsp(int64_t iteration) {
   const std::vector<int> active = ActiveWorkers();
-  const size_t B = config_.batch_size;
-  const int spp = model_->stats_per_point();
-  const size_t stat_width =
-      options_.fp32_statistics ? sizeof(float) : sizeof(double);
-  const uint64_t stats_bytes = 16 + B * spp * stat_width;
+  const uint64_t stats_bytes = StatsBytes();
   const int slack = config_.ssp.slack;
   const NodeId master = runtime_->master();
 
@@ -514,7 +524,8 @@ Status ColumnSgdEngine::DoRunIterationSsp(int64_t iteration) {
   const SimTime dispatch_end = runtime_->clock(master);
   TracePhase(Phase::kSspWait);  // master now waits on slack-gated workers
 
-  const std::vector<RowRef> batch = sampler_->Sample(iteration, B);
+  const std::vector<RowRef> batch =
+      sampler_->Sample(iteration, config_.batch_size);
 
   // Worker pass: gate on the staleness bound, catch up on every broadcast
   // visible at the resulting start time, then computeStat on whatever model
@@ -552,36 +563,10 @@ Status ColumnSgdEngine::DoRunIterationSsp(int64_t iteration) {
         std::max(ssp_.max_staleness_observed, staleness);
     if (staleness > 0) ++ssp_.stale_reads;
 
-    BatchView view = MakeBatchView(groups_[g], batch);
-    group_stats[g].assign(B * spp, 0.0);
-    FlopCounter flops;
-    flops.Add(B * kSampleFlops);
-    model_->ComputePartialStats(view, groups_[g].weights, &group_stats[g],
-                                &flops);
-    if (options_.fp32_statistics) {
-      for (double& v : group_stats[g]) v = static_cast<float>(v);
-    }
-    const double compute_seconds =
-        cluster_spec_.compute.SecondsFor(flops.flops());
-    const double task_seconds =
-        compute_seconds + SchedOverhead(kDefaultSchedOverhead);
-    const SimTime compute_start = runtime_->clock(node);
-    last_compute_start = std::max(last_compute_start, compute_start);
-    const SimTime finish =
-        compute_start + compute_seconds +
-        (StragglerLevelFor(iteration, w) + SspJitterLevel(iteration, w)) *
-            task_seconds;
-    if (tracer_ != nullptr) {
-      tracer_->RecordCompute(node, compute_start, finish - compute_start,
-                             flops.flops());
-    }
-    if (critpath_ != nullptr) {
-      critpath_->AnnotateAdvance(
-          node, compute_seconds, flops.flops(),
-          (StragglerLevelFor(iteration, w) + SspJitterLevel(iteration, w)) *
-              task_seconds);
-    }
-    runtime_->set_clock(node, finish);
+    BatchView view;
+    const uint64_t flops = ComputeStat(g, batch, &view, &group_stats[g]);
+    last_compute_start = std::max(last_compute_start, runtime_->clock(node));
+    RunStatTask({w}, flops, iteration, /*jitter=*/true);
     SendWithFaults(node, master, stats_bytes, iteration);  // syncs the master
     if (g == 0) group0_view = std::move(view);
     ssp_clocks_.SetClock(g, iteration + 1);
@@ -597,19 +582,7 @@ Status ColumnSgdEngine::DoRunIterationSsp(int64_t iteration) {
         std::min(std::max(dispatch_end, last_compute_start), gather));
   }
   TracePhase(Phase::kCompute);  // reduceStat + loss on the master
-
-  // reduceStat + loss: identical math to the BSP path.
-  std::vector<double> agg_stats(B * spp, 0.0);
-  for (int g = 0; g < num_groups_; ++g) AddInto(group_stats[g], &agg_stats);
-  if (options_.fp32_statistics) {
-    for (double& v : agg_stats) v = static_cast<float>(v);
-  }
-  runtime_->ChargeCompute(master,
-                          static_cast<uint64_t>(num_groups_) * B * spp);
-  last_batch_loss_ =
-      model_->BatchLossFromStatsShared(agg_stats, group0_view.labels,
-                                       shared_) /
-      static_cast<double>(B);
+  std::vector<double> agg_stats = ReduceStat(group_stats, group0_view.labels);
 
   // Freeze the broadcast record *before* the master's shared update:
   // consumers must apply against exactly the shared values these statistics
@@ -631,17 +604,8 @@ Status ColumnSgdEngine::DoRunIterationSsp(int64_t iteration) {
                                           groups_[0].weights, shared_,
                                           &scratch, &shared_grad_,
                                           &scratch_flops);
-    shared_optimizer_->BeginStep();
-    const int sps = shared_optimizer_->state_per_slot();
-    double* grad_sq = grad_sq_accum();
-    for (size_t i = 0; i < shared_.size(); ++i) {
-      const double g = shared_grad_[i] / static_cast<double>(B) +
-                       config_.reg.Grad(shared_[i]);
-      *grad_sq += g * g;
-      double* state = sps > 0 ? shared_opt_state_.data() + i * sps : nullptr;
-      shared_optimizer_->ApplyUpdate(&shared_[i], g, state);
-    }
   }
+  UpdateShared();
   record.agg_stats = std::move(agg_stats);
 
   // Gated broadcast: lands in each consumer's mailbox without stalling it

@@ -123,6 +123,26 @@ class ColumnSgdEngine : public ElasticEngine {
   BatchView MakeBatchView(const GroupState& state,
                           const std::vector<RowRef>& batch) const;
 
+  // Algorithm 3's steps, shared by the BSP and SSP bodies.
+  // Bytes of one statistics message, either direction.
+  uint64_t StatsBytes() const;
+  // computeStat: group g's view and partial statistics; returns the flops.
+  uint64_t ComputeStat(int g, const std::vector<RowRef>& batch,
+                       BatchView* view, std::vector<double>* stats) const;
+  // A statistics task, raced over `members`; returns the winner.
+  int RunStatTask(const std::vector<int>& members, uint64_t flops,
+                  int64_t iteration, bool jitter);
+  // reduceStat on the master, plus the batch loss.
+  std::vector<double> ReduceStat(
+      const std::vector<std::vector<double>>& group_stats,
+      const std::vector<float>& labels);
+  // updateModel of group g; returns its shared-parameter gradient.
+  std::vector<double> UpdateGroup(int g, const BatchView& view,
+                                  const std::vector<double>& agg_stats,
+                                  const std::vector<double>& shared);
+  // The master's shared-parameter update from shared_grad_.
+  void UpdateShared();
+
   // --- Bounded staleness (DESIGN.md §15) --------------------------------
   // One in-flight aggregated broadcast. Everything a group needs to apply
   // the update later is frozen here: the batch (row refs stay valid — the
@@ -144,8 +164,8 @@ class ColumnSgdEngine : public ElasticEngine {
   /// has, and replies; the master reduces, records the broadcast, and ships
   /// it with GatedSendWithFaults (mailbox delivery — no receiver stall).
   Status DoRunIterationSsp(int64_t iteration);
-  /// \brief Applies one pending broadcast on group g (bitwise the BSP
-  /// step-5 update) and charges every update member's clock.
+  /// \brief Applies one pending broadcast on group g (UpdateGroup against
+  /// the record's frozen shared parameters) and accounts for it.
   void ApplySspRecord(int g, const SspRecord& record);
 
   std::deque<SspRecord> ssp_pipeline_;
