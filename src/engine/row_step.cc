@@ -20,6 +20,49 @@ constexpr size_t kApplyPrefetchBlocks = 8;
 
 }  // namespace
 
+Status RowPartitions::Load(const ModelSpec& model, const Dataset& dataset,
+                           size_t block_rows, const TransformCostConfig& cost,
+                           ClusterRuntime* runtime) {
+  if (!model.SupportsRowPath()) {
+    return Status::InvalidArgument(
+        model.name() + " is only implemented for the column framework; "
+        "use the columnsgd engine");
+  }
+  COLSGD_RETURN_NOT_OK(model.CheckLabels(dataset.labels));
+  blocks_ = LoadRowPartitioned(MakeRowBlocks(dataset, block_rows), runtime,
+                               cost)
+                .partitions;
+  rows_.assign(blocks_.size(), 0);
+  for (size_t k = 0; k < blocks_.size(); ++k) {
+    for (const RowBlock& b : blocks_[k]) rows_[k] += b.num_rows();
+    if (rows_[k] == 0) {
+      return Status::FailedPrecondition(
+          "worker " + std::to_string(k) +
+          " received no rows; use more blocks than workers");
+    }
+  }
+  runtime->Barrier();
+  return Status::OK();
+}
+
+uint64_t RowPartitions::DataBytes(int p) const {
+  uint64_t bytes = 0;
+  for (const RowBlock& b : blocks_[p]) {
+    bytes += b.rows.ByteSize() + b.labels.size() * sizeof(float);
+  }
+  return bytes;
+}
+
+void RowPartitions::ChargeReread(int p, NodeId node,
+                                 const TransformCostConfig& cost,
+                                 ClusterRuntime* runtime) const {
+  for (const RowBlock& b : blocks_[p]) {
+    runtime->AdvanceClock(node, static_cast<double>(b.text_bytes) /
+                                        cost.disk_bandwidth +
+                                    b.text_bytes * cost.mllib_ingest_per_byte);
+  }
+}
+
 void ShardKeyCounter::Reset(int num_shards) {
   COLSGD_CHECK_GE(num_shards, 0);
   counts_.assign(static_cast<size_t>(num_shards), 0);

@@ -1,8 +1,9 @@
-// The row engines' iteration, split for the host (DESIGN.md §18). MLlib and
-// the PS engines run each simulated worker's numeric work (row draw, key
-// counts, fused forward/gradient) on the shared pool, replay the simulated
-// charges serially in worker order, then scatter the gradient into the
-// engine's accumulator and apply it shard by shard, on the pool again.
+// The row engines' data (RowPartitions, which MLlib* shares) and their
+// iteration, split for the host (DESIGN.md §18). MLlib and the PS engines
+// run each simulated worker's numeric work (row draw, key counts, fused
+// forward/gradient) on the shared pool, replay the simulated charges
+// serially in worker order, then scatter the gradient into the engine's
+// accumulator and apply it shard by shard, on the pool again.
 //
 // Every step gives the bits of the serial loop it replaced: workers only
 // read the model; each slot receives its additions in (worker, row, nnz)
@@ -16,14 +17,48 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "model/model_spec.h"
 #include "optim/optimizer.h"
 #include "storage/dataset.h"
+#include "storage/transform.h"
 
 namespace colsgd {
 
 /// \brief Simulated cost of drawing one row.
 inline constexpr uint64_t kSampleFlops = 32;
+
+/// \brief A row engine's data: partition p is the list of row blocks dealt
+/// to worker p at set-up. MLlib, MLlib* and the PS engines each hold one.
+class RowPartitions {
+ public:
+  /// \brief Checks that `model` takes the row path and `dataset`'s labels,
+  /// deals its blocks of `block_rows` rows to the runtime's workers
+  /// (LoadRowPartitioned, which charges the load) and barriers.
+  /// FailedPrecondition when a worker receives no rows.
+  Status Load(const ModelSpec& model, const Dataset& dataset,
+              size_t block_rows, const TransformCostConfig& cost,
+              ClusterRuntime* runtime);
+
+  size_t size() const { return blocks_.size(); }
+  const std::vector<RowBlock>& blocks(int p) const { return blocks_[p]; }
+  uint64_t rows(int p) const { return rows_[p]; }
+  /// \brief Rows partition p contributes to a batch of `batch_size`.
+  size_t BatchShare(int p, size_t batch_size) const {
+    const size_t K = blocks_.size();
+    return batch_size / K + (static_cast<size_t>(p) < batch_size % K ? 1 : 0);
+  }
+  /// \brief Modelled bytes of partition p's rows and labels.
+  uint64_t DataBytes(int p) const;
+  /// \brief Charges `node` re-reading partition p from stable storage,
+  /// parse included: one clock advance per block.
+  void ChargeReread(int p, NodeId node, const TransformCostConfig& cost,
+                    ClusterRuntime* runtime) const;
+
+ private:
+  std::vector<std::vector<RowBlock>> blocks_;
+  std::vector<uint64_t> rows_;
+};
 
 /// \brief Counts a batch's distinct features per shard: feature f belongs to
 /// shard f % num_shards, RoundRobinPartitioner::Owner with num_shards
