@@ -196,21 +196,6 @@ class ClusterRuntime {
     }
   }
 
-  /// \brief Gather: every worker sends `bytes_per_worker[k]` to `to`; the
-  /// receiver clock ends at the last arrival.
-  void GatherFromWorkers(NodeId to, const std::vector<uint64_t>& bytes) {
-    COLSGD_CHECK_EQ(bytes.size(), static_cast<size_t>(num_workers()));
-    for (int k = 0; k < num_workers(); ++k) {
-      NodeId from = worker_node(k);
-      if (from != to) Send(from, to, bytes[k]);
-    }
-  }
-
-  void ResetClocks() {
-    if (critpath_ != nullptr) critpath_->OnReset();
-    std::fill(clocks_.begin(), clocks_.end(), 0.0);
-  }
-
  private:
   ClusterSpec spec_;
   int total_workers_;

@@ -41,32 +41,4 @@ CostEntry ColumnSgdCost(const CostModelInput& in) {
   return entry;
 }
 
-CalibratedIterCost ColumnSgdIterSeconds(
-    const CostModelInput& in, int spp,
-    const kernels::CalibrationProfile& profile) {
-  const double B = static_cast<double>(in.B);
-  const double shard_dims = static_cast<double>(in.m) / in.K;
-  // Expected non-zeros of the batch falling in this worker's column shard.
-  const double shard_nnz = B * shard_dims * (1.0 - in.rho);
-  CalibratedIterCost cost;
-  cost.fwd_seconds = shard_nnz * profile.ns_per_nnz_fwd * 1e-9;
-  cost.grad_seconds = shard_nnz * profile.ns_per_nnz_grad * 1e-9;
-  cost.reduce_seconds =
-      B * static_cast<double>(spp) * profile.ns_per_element_dense * 1e-9;
-  return cost;
-}
-
-CalibratedIterCost RowSgdIterSeconds(
-    const CostModelInput& in, const kernels::CalibrationProfile& profile) {
-  const double rows = static_cast<double>(in.B) / in.K;
-  const double row_nnz = static_cast<double>(in.m) * (1.0 - in.rho);
-  const double batch_nnz = rows * row_nnz;
-  CalibratedIterCost cost;
-  cost.fwd_seconds = batch_nnz * profile.ns_per_nnz_fwd * 1e-9;
-  cost.grad_seconds = batch_nnz * profile.ns_per_nnz_grad * 1e-9;
-  cost.reduce_seconds = static_cast<double>(in.m) * Phi1(in) *
-                        profile.ns_per_element_update * 1e-9;
-  return cost;
-}
-
 }  // namespace colsgd

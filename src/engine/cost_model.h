@@ -7,8 +7,6 @@
 
 #include <cstdint>
 
-#include "linalg/kernels/calibrate.h"
-
 namespace colsgd {
 
 struct CostModelInput {
@@ -39,34 +37,6 @@ double DataSize(const CostModelInput& in);
 CostEntry RowSgdCost(const CostModelInput& in);
 /// \brief Table I, ColumnSGD column.
 CostEntry ColumnSgdCost(const CostModelInput& in);
-
-// ---- Calibrated compute costs (DESIGN.md §12) ----------------------------
-//
-// Table I counts elements; a CalibrationProfile prices them. These helpers
-// turn the analytic per-iteration work of one worker into seconds at the
-// measured kernel rates, so what-if analyses can quote hardware-grounded
-// times instead of elements at an assumed FLOP rate.
-
-/// \brief Per-worker, per-iteration compute seconds split by phase.
-struct CalibratedIterCost {
-  double fwd_seconds = 0.0;     // forward SpMV over the sampled batch
-  double grad_seconds = 0.0;    // gradient scatter back into the model
-  double reduce_seconds = 0.0;  // statistics / gradient aggregation sweep
-  double total() const { return fwd_seconds + grad_seconds + reduce_seconds; }
-};
-
-/// \brief ColumnSGD worker: B rows of the batch hit the local shard with
-/// B * (m/K) * (1-rho) expected non-zeros; statistics reduce is
-/// spp * B elements. `spp` = ModelSpec::stats_per_point().
-CalibratedIterCost ColumnSgdIterSeconds(
-    const CostModelInput& in, int spp,
-    const kernels::CalibrationProfile& profile);
-
-/// \brief RowSGD worker: B/K full rows with m * (1-rho) expected non-zeros
-/// each (forward + scatter), plus the dense m * phi1-element gradient sweep
-/// for the push.
-CalibratedIterCost RowSgdIterSeconds(
-    const CostModelInput& in, const kernels::CalibrationProfile& profile);
 
 }  // namespace colsgd
 

@@ -155,9 +155,6 @@ class Walker {
           }
           break;
         }
-        case CritOpKind::kReset:
-          std::fill(c.begin(), c.end(), 0.0);
-          break;
         case CritOpKind::kMsg:
         case CritOpKind::kStamp:
           break;

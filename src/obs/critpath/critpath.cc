@@ -1,7 +1,5 @@
 #include "obs/critpath/critpath.h"
 
-#include <algorithm>
-
 namespace colsgd {
 
 void CritPathRecorder::Attach(const double* clocks, size_t num_nodes,
@@ -206,15 +204,6 @@ void CritPathRecorder::OnSend(uint32_t from, uint32_t to, uint64_t bytes,
   last_msg_ = idx;
   avail_of_[to][Bits(rx_done)] = idx;
   ops_.push_back(std::move(op));
-}
-
-void CritPathRecorder::OnReset() {
-  CritOp op;
-  op.kind = CritOpKind::kReset;
-  std::fill(last_change_.begin(), last_change_.end(),
-            static_cast<int64_t>(ops_.size()));
-  ops_.push_back(std::move(op));
-  std::fill(now_.begin(), now_.end(), 0.0);
 }
 
 void CritPathRecorder::AnnotateAdvance(uint32_t node, double compute_seconds,

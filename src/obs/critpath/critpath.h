@@ -27,7 +27,8 @@
 namespace colsgd {
 
 /// \brief Op kinds in the causal log. The first four are clock *advances*
-/// (duration charged on one node); the rest are events.
+/// (duration charged on one node); the rest are events. The values are
+/// written to colsgd.critdag/v1 files; 7 is unused.
 enum class CritOpKind : uint8_t {
   kCompute = 0,    // ChargeCompute (scaled by what-if compute_scale)
   kMem = 1,        // ChargeMemTouch (scaled by mem_scale)
@@ -36,7 +37,6 @@ enum class CritOpKind : uint8_t {
   kMsg = 4,        // one SimNetwork::Send with full timing + queueing state
   kSet = 5,        // set_clock / SyncClockTo with cause terms (max semantics)
   kBarrier = 6,    // all clocks -> max
-  kReset = 7,      // ResetClocks
   kStamp = 8,      // named clock capture (e.g. PS ssp_applied_time_ mirror)
 };
 
@@ -135,7 +135,6 @@ class CritPathRecorder {
   void OnSend(uint32_t from, uint32_t to, uint64_t bytes, bool control,
               double sender_time, double tx_start, double tx_done,
               double rx_start, double rx_done);
-  void OnReset();
 
   // --- engine annotations (optional; improve blame + what-if fidelity) ----
   /// \brief The next set_clock on `node` is a self-clocked compute advance:

@@ -86,8 +86,6 @@ JsonValue OpJson(const CritOp& op) {
       a.Append(Num(op.node));
       a.Append(Num(op.t));
       break;
-    case CritOpKind::kReset:
-      break;
     case CritOpKind::kStamp:
       a.Append(Num(op.node));
       a.Append(Num(op.t));
@@ -155,8 +153,6 @@ Result<CritOp> OpFromJson(const JsonValue& json) {
       if (!need(3)) return Status::InvalidArgument("critdag: short barrier");
       op.node = static_cast<uint32_t>(a[1].number_value());
       op.t = a[2].number_value();
-      break;
-    case CritOpKind::kReset:
       break;
     case CritOpKind::kStamp:
       if (!need(3)) return Status::InvalidArgument("critdag: short stamp");

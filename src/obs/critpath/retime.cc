@@ -56,9 +56,6 @@ class Replayer {
           std::fill(c_.begin(), c_.end(), t);
           break;
         }
-        case CritOpKind::kReset:
-          std::fill(c_.begin(), c_.end(), 0.0);
-          break;
         case CritOpKind::kStamp:
           stamp_vals_.push_back(c_[op.node]);
           break;

@@ -40,7 +40,6 @@ class SspClockTable {
   size_t size() const { return clocks_.size(); }
 
   int64_t clock(size_t entity) const { return clocks_[entity]; }
-  void Tick(size_t entity) { ++clocks_[entity]; }
   void SetClock(size_t entity, int64_t clock) { clocks_[entity] = clock; }
 
   /// \brief Slowest logical clock across all entities.
@@ -89,24 +88,6 @@ class SspArrivalLog {
   SimTime ArrivalOf(size_t consumer, int64_t clock) const {
     if (clock < 0) return 0.0;
     return arrivals_[consumer][static_cast<size_t>(clock)];
-  }
-
-  /// \brief Number of entries recorded for `consumer` (its next clock).
-  int64_t RecordedThrough(size_t consumer) const {
-    return static_cast<int64_t>(arrivals_[consumer].size());
-  }
-
-  /// \brief Newest clock whose entry has arrived at `consumer` by simulated
-  /// time `now`, scanning forward from `from` (exclusive). Arrivals are
-  /// monotone per consumer, so the visible set is always a prefix.
-  int64_t VisibleThrough(size_t consumer, int64_t from, SimTime now) const {
-    const std::vector<SimTime>& log = arrivals_[consumer];
-    int64_t through = from;
-    while (through + 1 < static_cast<int64_t>(log.size()) &&
-           log[static_cast<size_t>(through + 1)] <= now) {
-      ++through;
-    }
-    return through;
   }
 
  private:
