@@ -76,8 +76,10 @@ class Scenario {
   /// empty when it takes no --engines.
   virtual std::vector<std::string> Engines() const { return {}; }
   /// \brief Rejects, before any seed runs, a configuration the scenario
-  /// cannot run: a flag value out of range, or a model it cannot use.
-  virtual Status Validate(const ModelSpec& /*model*/) const {
+  /// cannot run: a flag value out of range, or a model or one of the
+  /// selected `engines` it cannot use.
+  virtual Status Validate(const ModelSpec& /*model*/,
+                          const std::vector<std::string>& /*engines*/) const {
     return Status::OK();
   }
   /// \brief Builds the per-configuration state (dataset, fault-free

@@ -226,7 +226,7 @@ int RunChaos(int argc, char** argv, const ScenarioFactory& make) {
   for (const std::string& model : model_list) {
     Result<std::unique_ptr<ModelSpec>> spec = CreateModel(model);
     const Status valid =
-        spec.ok() ? scenario->Validate(**spec) : spec.status();
+        spec.ok() ? scenario->Validate(**spec, engine_list) : spec.status();
     if (!valid.ok()) return Usage(flags, argv[0], valid.ToString());
   }
 

@@ -77,7 +77,8 @@ class ServingScenario : public Scenario {
                      "allowed SLO-violation increase per fault");
   }
 
-  Status Validate(const ModelSpec& model) const override {
+  Status Validate(const ModelSpec& model,
+                  const std::vector<std::string>& /*engines*/) const override {
     if (!model.SupportsStatScore()) {
       return Status::InvalidArgument(model.name() + " is not servable");
     }

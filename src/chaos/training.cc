@@ -205,7 +205,8 @@ class TrainScenario : public Scenario {
     return {"columnsgd", "mllib", "mllib_star", "petuum", "mxnet"};
   }
 
-  Status Validate(const ModelSpec& /*model*/) const override {
+  Status Validate(const ModelSpec& /*model*/,
+                  const std::vector<std::string>& engines) const override {
     COLSGD_RETURN_NOT_OK(CheckCounts(
         {{"workers", workers_}, {"iterations", iterations_},
          {"batch_size", batch_size_}, {"block_rows", block_rows_},
@@ -219,6 +220,20 @@ class TrainScenario : public Scenario {
     // pass every seed without checking anything.
     if (!std::isfinite(epsilon_)) {
       return Status::InvalidArgument("--epsilon must be finite");
+    }
+    // Row engines deal whole blocks to the workers round-robin, so every
+    // worker gets rows exactly when there are at least as many blocks as
+    // workers (colsgd_train applies the same rule).
+    const int64_t blocks =
+        data_rows_ / block_rows_ + (data_rows_ % block_rows_ != 0);
+    for (const std::string& engine : engines) {
+      if (engine != "columnsgd" && blocks < workers_) {
+        return Status::InvalidArgument(
+            "engine " + engine + " deals blocks of --block_rows rows to the "
+            "workers round-robin: --data_rows " + std::to_string(data_rows_) +
+            " make " + std::to_string(blocks) + " block(s) for " +
+            std::to_string(workers_) + " --workers");
+      }
     }
     return Status::OK();
   }
@@ -549,8 +564,9 @@ class MembershipScenario : public TrainScenario {
     return {"columnsgd", "petuum", "mxnet"};
   }
 
-  Status Validate(const ModelSpec& model) const override {
-    COLSGD_RETURN_NOT_OK(TrainScenario::Validate(model));
+  Status Validate(const ModelSpec& model,
+                  const std::vector<std::string>& engines) const override {
+    COLSGD_RETURN_NOT_OK(TrainScenario::Validate(model, engines));
     // Every crash must recover from a peer replica, so a schedule needs a
     // second worker and at least one extra copy.
     if (workers_ < 2) {
@@ -761,8 +777,9 @@ class SspScenario : public TrainScenario {
     return {"columnsgd", "petuum", "mxnet"};
   }
 
-  Status Validate(const ModelSpec& model) const override {
-    COLSGD_RETURN_NOT_OK(TrainScenario::Validate(model));
+  Status Validate(const ModelSpec& model,
+                  const std::vector<std::string>& engines) const override {
+    COLSGD_RETURN_NOT_OK(TrainScenario::Validate(model, engines));
     if (slack_ < -1) {
       return Status::InvalidArgument(
           "--slack must be >= 0, or -1 to draw it per seed");

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -53,8 +54,11 @@ Result<std::string> ReadTextFile(const std::string& path) {
 }
 
 /// Applies one `key=value` entry of a what-if spec. Scalar keys: mem,
-/// bandwidth, latency, overhead, slack (an integer bump). Per-node keys:
+/// bandwidth, latency, overhead, slack (a whole-number bump). Per-node keys:
 /// compute[N], straggler[N], local[N] — N is a node id, or * for all nodes.
+/// Every value must be finite, a scale at least 0 and bandwidth above 0, and
+/// slack a whole number below 2^63. With `num_nodes` 0 (no DAG read yet) a
+/// per-node entry is checked but not applied.
 Status ApplyWhatIfEntry(const std::string& entry, uint32_t num_nodes,
                         WhatIf* w) {
   const size_t eq = entry.find('=');
@@ -69,6 +73,12 @@ Status ApplyWhatIfEntry(const std::string& entry, uint32_t num_nodes,
   if (end == value_str.c_str() || *end != '\0') {
     return Status::InvalidArgument("what-if value '" + value_str +
                                    "' is not a number");
+  }
+  if (!std::isfinite(value) || value < 0.0 ||
+      (key == "bandwidth" && value == 0.0)) {
+    return Status::InvalidArgument(
+        "what-if " + key + "=" + value_str +
+        ": values must be finite and >= 0, bandwidth above 0");
   }
   if (key == "mem") {
     w->mem_scale = value;
@@ -87,6 +97,10 @@ Status ApplyWhatIfEntry(const std::string& entry, uint32_t num_nodes,
     return Status::OK();
   }
   if (key == "slack") {
+    if (value != std::floor(value) || value >= 0x1p63) {
+      return Status::InvalidArgument("what-if slack must be a whole number "
+                                     "below 2^63");
+    }
     w->slack_delta = static_cast<int64_t>(value);
     return Status::OK();
   }
@@ -103,6 +117,7 @@ Status ApplyWhatIfEntry(const std::string& entry, uint32_t num_nodes,
   if (scales == nullptr) {
     return Status::InvalidArgument("unknown what-if key '" + key + "'");
   }
+  if (num_nodes == 0) return Status::OK();
   if (scales->size() < num_nodes) scales->resize(num_nodes, 1.0);
   if (index == "*") {
     std::fill(scales->begin(), scales->end(), value);
@@ -110,7 +125,7 @@ Status ApplyWhatIfEntry(const std::string& entry, uint32_t num_nodes,
   }
   const long node = std::strtol(index.c_str(), &end, 10);
   if (end == index.c_str() || *end != '\0' || node < 0 ||
-      static_cast<uint32_t>(node) >= num_nodes) {
+      node >= static_cast<long>(num_nodes)) {
     return Status::InvalidArgument("what-if node index '" + index +
                                    "' out of range");
   }
@@ -118,19 +133,43 @@ Status ApplyWhatIfEntry(const std::string& entry, uint32_t num_nodes,
   return Status::OK();
 }
 
-Status ParseWhatIf(const std::string& spec, uint32_t num_nodes, WhatIf* w) {
+/// The non-empty items of a comma-separated list.
+std::vector<std::string> SplitCommas(const std::string& list) {
+  std::vector<std::string> items;
   size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string entry = spec.substr(pos, comma - pos);
-    if (!entry.empty()) {
-      Status st = ApplyWhatIfEntry(entry, num_nodes, w);
-      if (!st.ok()) return st;
-    }
+  while (pos < list.size()) {
+    size_t comma = list.find(',', pos);
+    if (comma == std::string::npos) comma = list.size();
+    if (comma > pos) items.push_back(list.substr(pos, comma - pos));
     pos = comma + 1;
   }
+  return items;
+}
+
+Status ParseWhatIf(const std::string& spec, uint32_t num_nodes, WhatIf* w) {
+  for (const std::string& entry : SplitCommas(spec)) {
+    COLSGD_RETURN_NOT_OK(ApplyWhatIfEntry(entry, num_nodes, w));
+  }
   return Status::OK();
+}
+
+/// The values of `--sweep key=v1,v2,...`, checked as what-if entries (none
+/// when `spec` is empty).
+Result<std::vector<std::string>> SweepValues(const std::string& spec) {
+  if (spec.empty()) return std::vector<std::string>{};
+  const size_t eq = spec.find('=');
+  const std::vector<std::string> values =
+      eq == std::string::npos ? std::vector<std::string>{}
+                              : SplitCommas(spec.substr(eq + 1));
+  if (values.empty()) {
+    return Status::InvalidArgument("--sweep must be key=v1,v2,...");
+  }
+  WhatIf w;
+  for (const std::string& value : values) {
+    COLSGD_RETURN_NOT_OK(
+        ApplyWhatIfEntry(spec.substr(0, eq + 1) + value, 0, &w));
+  }
+  return values;
 }
 
 std::string NodeName(const CritDag& dag, uint32_t node) {
@@ -166,8 +205,7 @@ void PrintTopSegments(const CritDag& dag, const CritPathResult& result,
                    [](const PathStep& a, const PathStep& b) {
                      return a.length() > b.length();
                    });
-  const size_t n = std::min(segments.size(),
-                            static_cast<size_t>(std::max<int64_t>(topk, 0)));
+  const size_t n = std::min(segments.size(), static_cast<size_t>(topk));
   if (n == 0) return;
   std::printf("\ntop path segments:\n");
   std::printf("  %-10s %-10s %12s %14s %14s\n", "resource", "node", "length",
@@ -210,9 +248,21 @@ int Run(int argc, char** argv) {
   flags.AddString("bench_out", &bench_out,
                   "write a BENCH suite (suite 'critpath') here for "
                   "colsgd_report gating");
-  flags.ParseOrExit(argc, argv, [&] {
-    return dag_path.empty() ? Status::InvalidArgument("--dag is required")
-                            : Status::OK();
+  std::vector<std::string> sweep_values;
+  flags.ParseOrExit(argc, argv, [&]() -> Status {
+    if (dag_path.empty()) return Status::InvalidArgument("--dag is required");
+    // The critpath JSON takes the count as an int.
+    if (topk < 0 || topk > std::numeric_limits<int>::max()) {
+      return Status::InvalidArgument("--topk must lie in [0, INT_MAX]");
+    }
+    if (overlay_path.empty() != overlay_out.empty()) {
+      return Status::InvalidArgument(
+          "--overlay and --overlay_out go together");
+    }
+    WhatIf w;
+    COLSGD_RETURN_NOT_OK(ParseWhatIf(what_if_spec, 0, &w));
+    COLSGD_ASSIGN_OR_RETURN(sweep_values, SweepValues(sweep_spec));
+    return Status::OK();
   });
 
   Result<CritDag> dag_result = ReadCritDagFile(dag_path);
@@ -262,22 +312,11 @@ int Run(int argc, char** argv) {
                                     : 0.0);
   }
 
-  if (!sweep_spec.empty()) {
-    const size_t eq = sweep_spec.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "--sweep must be key=v1,v2,...\n");
-      return 2;
-    }
-    const std::string key = sweep_spec.substr(0, eq);
+  if (!sweep_values.empty()) {
+    const std::string key = sweep_spec.substr(0, sweep_spec.find('='));
     std::printf("\nsweep %s:\n  %-12s %14s %10s\n", key.c_str(), "value",
                 "makespan", "vs base");
-    size_t pos = eq + 1;
-    while (pos <= sweep_spec.size()) {
-      size_t comma = sweep_spec.find(',', pos);
-      if (comma == std::string::npos) comma = sweep_spec.size();
-      const std::string value = sweep_spec.substr(pos, comma - pos);
-      pos = comma + 1;
-      if (value.empty()) continue;
+    for (const std::string& value : sweep_values) {
       WhatIf w;
       st = ParseWhatIf(what_if_spec, dag.num_nodes, &w);  // base spec first
       if (st.ok()) st = ApplyWhatIfEntry(key + "=" + value, dag.num_nodes, &w);
@@ -310,11 +349,7 @@ int Run(int argc, char** argv) {
     std::printf("\nwrote %s\n", critpath_out.c_str());
   }
 
-  if (!overlay_path.empty() || !overlay_out.empty()) {
-    if (overlay_path.empty() || overlay_out.empty()) {
-      std::fprintf(stderr, "--overlay and --overlay_out go together\n");
-      return 2;
-    }
+  if (!overlay_path.empty()) {
     Result<std::string> text = ReadTextFile(overlay_path);
     if (!text.ok()) {
       std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
