@@ -304,12 +304,13 @@ class Engine {
   }
 
   /// \brief Accumulator for the squared l2 norm of this iteration's applied
-  /// gradients. RunIteration resets it to NaN; engines whose update path
-  /// reports gradient magnitudes pass this to ApplySparseUpdate or
-  /// ShardedUpdate::Apply (or add g*g terms directly), which lazily zeroes
-  /// it. A NaN at the end of the
+  /// gradients, or nullptr when no TimeSeriesRecorder, its only reader, is
+  /// attached. RunIteration resets it to NaN; engines pass this to
+  /// ApplySparseUpdate or ShardedUpdate::Apply (or add g*g terms to it when
+  /// it is not null), and this call zeroes a NaN. A NaN at the end of the
   /// iteration means "not measured" and stays NaN in the telemetry.
   double* grad_sq_accum() {
+    if (recorder_ == nullptr) return nullptr;
     if (std::isnan(last_grad_sq_)) last_grad_sq_ = 0.0;
     return &last_grad_sq_;
   }
@@ -421,13 +422,14 @@ class Engine {
                       int64_t iteration);
 };
 
-/// \brief The update of every slot `grad` touched, block by block in touched
-/// order, slots of a block in ascending order: g = sum / batch_total +
-/// reg.Grad(w), then on_grad(i, j, g) for slot touched()[i] + j, then
-/// optimizer->ApplyUpdate on the slot. The caller runs BeginStep. Writes
-/// only the touched slots of `weights` and their `opt_state`. With
-/// `prefetch_blocks` > 0, asks the cache for the weights of the block that
-/// many ahead before each block; a prefetch changes no bit.
+/// \brief The update of every block `grad` touched, in touched order: g =
+/// sum / batch_total + reg.Grad(w), then on_grad(i, j, g), for each slot
+/// touched()[i] + j in ascending order, then one optimizer->ApplyBlock on
+/// the block (bit for bit the update slot by slot: a slot's g reads only its
+/// own weight). The caller runs BeginStep. Writes only the touched slots of
+/// `weights` and their `opt_state`. With `prefetch_blocks` > 0, asks the
+/// cache for the weights of the block that many ahead before each block; a
+/// prefetch changes no bit.
 template <class OnGrad>
 void ApplyGradBlocks(const GradAccumulator& grad, size_t batch_total,
                      const RegularizerConfig& reg, Optimizer* optimizer,
@@ -438,18 +440,19 @@ void ApplyGradBlocks(const GradAccumulator& grad, size_t batch_total,
   const size_t width = static_cast<size_t>(grad.width());
   const std::vector<uint64_t>& blocks = grad.touched();
   const double* sums = grad.sums().data();
+  std::vector<double> g(width);
   for (size_t i = 0; i < blocks.size(); ++i) {
     if (prefetch_blocks > 0 && i + prefetch_blocks < blocks.size()) {
       kernels::Prefetch(weights + blocks[i + prefetch_blocks], width);
     }
+    double* w = weights + blocks[i];
     for (size_t j = 0; j < width; ++j) {
-      const uint64_t slot = blocks[i] + j;
-      const double g =
-          sums[i * width + j] * inv_batch + reg.Grad(weights[slot]);
-      on_grad(i, j, g);
-      optimizer->ApplyUpdate(&weights[slot], g,
-                             sps > 0 ? opt_state + slot * sps : nullptr);
+      g[j] = sums[i * width + j] * inv_batch + reg.Grad(w[j]);
+      on_grad(i, j, g[j]);
     }
+    optimizer->ApplyBlock(w, g.data(),
+                          sps > 0 ? opt_state + blocks[i] * sps : nullptr,
+                          width);
   }
 }
 

@@ -419,7 +419,7 @@ void ColumnSgdEngine::UpdateShared() {
   for (size_t i = 0; i < shared_.size(); ++i) {
     const double g = shared_grad_[i] / static_cast<double>(config_.batch_size) +
                      config_.reg.Grad(shared_[i]);
-    *grad_sq += g * g;
+    if (grad_sq != nullptr) *grad_sq += g * g;
     double* state = sps > 0 ? shared_opt_state_.data() + i * sps : nullptr;
     shared_optimizer_->ApplyUpdate(&shared_[i], g, state);
   }

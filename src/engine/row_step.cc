@@ -153,6 +153,8 @@ size_t ShardedUpdate::Apply(const std::vector<RowWorkerStep>& steps,
     }
   }
 
+  // Only a recorded run (grad_sq set) keeps first positions and squares.
+  const bool norm = grad_sq != nullptr;
   optimizer->BeginStep();
   kernels::SharedPool().ParallelFor(
       num_shards, 1, [&](size_t shard_begin, size_t shard_end) {
@@ -167,25 +169,27 @@ size_t ShardedUpdate::Apply(const std::vector<RowWorkerStep>& steps,
             for (uint32_t i : steps[w].shard_terms[s]) {
               const size_t before = grad.touched().size();
               grad.Add(terms.first_slot(i), terms.values(i));
-              if (grad.touched().size() != before) {
+              if (norm && grad.touched().size() != before) {
                 first_pos.push_back(offset[w] + i);
               }
             }
           }
-          sq.resize(grad.sums().size());
+          if (norm) sq.resize(grad.sums().size());
           ApplyGradBlocks(grad, batch_total, reg, optimizer, weights->data(),
                           opt_state->data(), kApplyPrefetchBlocks,
                           [&](size_t i, size_t j, double g) {
-                            sq[i * width + j] = g * g;
+                            if (norm) sq[i * width + j] = g * g;
                           });
         }
       });
 
+  size_t touched = 0;
+  for (const Shard& shard : shards_) touched += shard.grad.sums().size();
+  if (flops != nullptr) flops->Add(8 * touched);
+  if (!norm) return touched;
   // The norm sums the squares in the global first-touch order: the shards'
   // first positions are disjoint and each list ascends, so a merge by
   // position visits the blocks in that order.
-  size_t touched = 0;
-  for (const Shard& shard : shards_) touched += shard.sq.size();
   std::vector<size_t> next(num_shards, 0);
   double sq = 0.0;
   for (size_t done = 0; done < touched; done += width) {
@@ -202,8 +206,7 @@ size_t ShardedUpdate::Apply(const std::vector<RowWorkerStep>& steps,
     for (size_t j = 0; j < width; ++j) sq += block_sq[j];
     ++next[s];
   }
-  if (grad_sq != nullptr) *grad_sq += sq;
-  if (flops != nullptr) flops->Add(8 * touched);
+  *grad_sq += sq;
   return touched;
 }
 

@@ -165,10 +165,11 @@ void ForEachWorker(int n, const std::function<void(int)>& body);
 ///
 /// because a shard task walks the steps in order and each step's blocks in
 /// order, so every slot gets its additions in (worker, row, nnz) order; and
-/// because the squared gradient norm is summed afterwards, serially, over
-/// the slots in the order of their first touch. A shard's task writes only
-/// its own Shard and its own slots; Optimizer::ApplyUpdate runs
-/// concurrently on distinct slots. Holds only per-iteration scratch,
+/// because the squared gradient norm, when `grad_sq` asks for it (a
+/// recorded run, Engine::grad_sq_accum), is summed afterwards, serially,
+/// over the slots in the order of their first touch. A shard's task writes
+/// only its own Shard and its own slots; Optimizer::ApplyBlock runs
+/// concurrently on distinct blocks. Holds only per-iteration scratch,
 /// O(terms).
 class ShardedUpdate {
  public:
@@ -181,12 +182,12 @@ class ShardedUpdate {
                FlopCounter* flops, double* grad_sq);
 
  private:
-  // One shard's gradient and, for each of its touched blocks in first-touch
-  // order, the position of the block's first entry in the iteration's
-  // concatenated entry order (ascending) and the squares of its applied
-  // gradient, `width` per block. Cache-line aligned: shard tasks append to
-  // their lists at the same time, and vectors sharing a line would make
-  // every append a cache miss.
+  // One shard's gradient and, in a recorded run, for each of its touched
+  // blocks in first-touch order, the position of the block's first entry in
+  // the iteration's concatenated entry order (ascending) and the squares of
+  // its applied gradient, `width` per block. Cache-line aligned: shard tasks
+  // append to their lists at the same time, and vectors sharing a line would
+  // make every append a cache miss.
   struct alignas(64) Shard {
     Shard(uint64_t num_slots, int width) : grad(num_slots, width) {}
     GradAccumulator grad;

@@ -27,23 +27,25 @@ struct RegularizerConfig {
   }
 };
 
-/// \brief Per-slot update rule. `state` points at `state_per_slot()` doubles
-/// private to the slot (zero-initialized).
+/// \brief Per-slot update rule. Each slot owns `state_per_slot()` doubles of
+/// state (zero-initialized).
 class Optimizer {
  public:
   virtual ~Optimizer() = default;
   virtual std::string name() const = 0;
   virtual int state_per_slot() const = 0;
-  /// \brief Called once per iteration before any ApplyUpdate. Everything an
+  /// \brief Called once per iteration before any ApplyBlock. Everything an
   /// iteration's updates share (step counters, bias corrections) changes
   /// here and only here.
   virtual void BeginStep() {}
-  /// \brief Applies the update for one slot; `grad` is the batch-averaged
-  /// gradient including regularization. After BeginStep it must be safe to
-  /// call concurrently on distinct slots: it may write only `*weight` and
-  /// `state` (the row engines apply their server shards in parallel,
-  /// engine/row_step.h).
-  virtual void ApplyUpdate(double* weight, double grad, double* state) = 0;
+  /// \brief Updates `n` consecutive slots in ascending order: slot k has
+  /// weight `w[k]`, batch-averaged gradient `g[k]` (regularization included)
+  /// and state `s + k * state_per_slot()`. After BeginStep it must be safe to
+  /// call concurrently on distinct blocks: it may write only the block's
+  /// weights and state (the row engines apply their server shards in
+  /// parallel, engine/row_step.h). ApplyUpdate is the call on one slot.
+  virtual void ApplyBlock(double* w, const double* g, double* s, size_t n) = 0;
+  void ApplyUpdate(double* w, double g, double* s) { ApplyBlock(w, &g, s, 1); }
   /// \brief Fresh instance with the same hyperparameters (one per worker or
   /// replica; each keeps its own step counter).
   virtual std::unique_ptr<Optimizer> Clone() const = 0;
@@ -60,9 +62,8 @@ class SgdOptimizer : public Optimizer {
   void BeginStep() override {
     current_lr_ = lr_ / (1.0 + decay_ * static_cast<double>(step_++));
   }
-  void ApplyUpdate(double* weight, double grad, double* state) override {
-    (void)state;
-    *weight -= current_lr_ * grad;
+  void ApplyBlock(double* w, const double* g, double*, size_t n) override {
+    for (size_t k = 0; k < n; ++k) w[k] -= current_lr_ * g[k];
   }
   std::unique_ptr<Optimizer> Clone() const override {
     return std::make_unique<SgdOptimizer>(lr_, decay_);
@@ -83,9 +84,11 @@ class AdaGradOptimizer : public Optimizer {
 
   std::string name() const override { return "adagrad"; }
   int state_per_slot() const override { return 1; }
-  void ApplyUpdate(double* weight, double grad, double* state) override {
-    state[0] += grad * grad;
-    *weight -= lr_ * grad / (std::sqrt(state[0]) + eps_);
+  void ApplyBlock(double* w, const double* g, double* s, size_t n) override {
+    for (size_t k = 0; k < n; ++k) {
+      s[k] += g[k] * g[k];
+      w[k] -= lr_ * g[k] / (std::sqrt(s[k]) + eps_);
+    }
   }
   std::unique_ptr<Optimizer> Clone() const override {
     return std::make_unique<AdaGradOptimizer>(lr_, eps_);
@@ -111,12 +114,14 @@ class AdamOptimizer : public Optimizer {
     bias1_ = 1.0 - std::pow(beta1_, static_cast<double>(step_));
     bias2_ = 1.0 - std::pow(beta2_, static_cast<double>(step_));
   }
-  void ApplyUpdate(double* weight, double grad, double* state) override {
-    state[0] = beta1_ * state[0] + (1.0 - beta1_) * grad;         // m
-    state[1] = beta2_ * state[1] + (1.0 - beta2_) * grad * grad;  // v
-    const double m_hat = state[0] / bias1_;
-    const double v_hat = state[1] / bias2_;
-    *weight -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
+  void ApplyBlock(double* w, const double* g, double* s, size_t n) override {
+    for (size_t k = 0; k < n; ++k, s += 2) {
+      s[0] = beta1_ * s[0] + (1.0 - beta1_) * g[k];         // m
+      s[1] = beta2_ * s[1] + (1.0 - beta2_) * g[k] * g[k];  // v
+      const double m_hat = s[0] / bias1_;
+      const double v_hat = s[1] / bias2_;
+      w[k] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
+    }
   }
   std::unique_ptr<Optimizer> Clone() const override {
     return std::make_unique<AdamOptimizer>(lr_, beta1_, beta2_, eps_);

@@ -274,7 +274,8 @@ std::unique_ptr<Engine> MakeRowPathEngine(const std::string& path,
 }
 
 /// Trains `path` for `iterations` and checks every trained bit, batch loss
-/// and gradient norm against SerialRowSchedule.
+/// and gradient norm against SerialRowSchedule. An unrecorded twin, whose
+/// apply skips the norm (Engine::grad_sq_accum), must train the same bits.
 void ExpectSerialSchedule(const std::string& path,
                           const std::string& model_name,
                           const std::string& optimizer, int workers) {
@@ -287,13 +288,17 @@ void ExpectSerialSchedule(const std::string& path,
   const int iterations = 5;
 
   auto engine = MakeRowPathEngine(path, workers, config);
+  auto twin = MakeRowPathEngine(path, workers, config);
   TimeSeriesRecorder recorder;
   engine->set_recorder(&recorder);
-  ASSERT_TRUE(engine->Setup(d).ok());
-  for (int i = 0; i < iterations; ++i) {
-    ASSERT_TRUE(engine->RunIteration(i).ok());
+  for (Engine* run : {engine.get(), twin.get()}) {
+    ASSERT_TRUE(run->Setup(d).ok());
+    for (int i = 0; i < iterations; ++i) {
+      ASSERT_TRUE(run->RunIteration(i).ok());
+    }
+    ASSERT_TRUE(run->FinishTraining().ok());
   }
-  ASSERT_TRUE(engine->FinishTraining().ok());
+  const std::vector<double> unrecorded = twin->FullModel();
   const SerialRowRun reference =
       SerialRowSchedule(d, config, workers, iterations);
 
@@ -304,6 +309,11 @@ void ExpectSerialSchedule(const std::string& path,
             0);
   EXPECT_EQ(Bits(engine->last_batch_loss()),
             Bits(reference.batch_loss.back()));
+  ASSERT_EQ(unrecorded.size(), weights.size());
+  EXPECT_EQ(std::memcmp(unrecorded.data(), weights.data(),
+                        weights.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(Bits(twin->last_batch_loss()), Bits(engine->last_batch_loss()));
   ASSERT_EQ(recorder.samples().size(), static_cast<size_t>(iterations));
   for (int i = 0; i < iterations; ++i) {
     const TimeSeriesSample& sample = recorder.samples()[i];
