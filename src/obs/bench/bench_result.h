@@ -100,8 +100,8 @@ void AppendSampleSeries(const std::vector<TimeSeriesSample>& samples,
 /// then flags the missing metric).
 void ComputeDerivedStats(BenchResult* result);
 
-/// \brief `git describe --always --dirty` captured at configure time, or
-/// "unknown" outside a git checkout.
+/// \brief `git describe --always --dirty` captured at build time, or
+/// "unknown" outside a git checkout or a build by src/obs/CMakeLists.txt.
 std::string GitDescribe();
 
 /// \brief Serializes a MetricsRegistry as JSON (counters as integers,
