@@ -75,31 +75,33 @@ class ClusterRuntime {
   SimNetwork& net() { return net_; }
   int num_workers() const { return spec_.num_workers; }
 
-  /// \brief Attaches a (non-owning, nullable) tracer to the runtime and its
-  /// network. Recording is passive; simulated clocks are unaffected.
-  void set_tracer(Tracer* tracer) {
-    tracer_ = tracer;
-    net_.set_tracer(tracer);
-    if (tracer != nullptr) {
-      tracer->SetTopology(static_cast<int>(clocks_.size()),
-                          spec_.num_workers);
-    }
+  /// \brief Attaches a (non-owning) observer (obs/observer.h) to the runtime
+  /// and its network, once, before Setup; it must outlive the runtime.
+  void Observe(SimObserver* observer) {
+    COLSGD_CHECK(observer != nullptr);
+    observer->OnAttach(SimShape{clocks_.data(), clocks_.size(),
+                                spec_.num_workers, spec_.net.latency,
+                                spec_.net.bandwidth,
+                                spec_.net.per_message_overhead,
+                                kControlMessageBytes});
+    net_.Observe(observer);
   }
-  Tracer* tracer() const { return tracer_; }
+  const std::vector<SimObserver*>& observers() const {
+    return net_.observers();
+  }
 
-  /// \brief Attaches a (non-owning, nullable) causal critical-path recorder
-  /// to the runtime and its network (DESIGN.md §16). Like the tracer it is
-  /// passive: every hook only reads simulation state.
-  void set_critpath(CritPathRecorder* critpath) {
-    critpath_ = critpath;
-    net_.set_critpath(critpath);
-    if (critpath != nullptr) {
-      critpath->Attach(clocks_.data(), clocks_.size(), spec_.num_workers,
-                       spec_.net.latency, spec_.net.bandwidth,
-                       spec_.net.per_message_overhead, kControlMessageBytes);
+  /// \brief Emits a named instant to every observer.
+  void Instant(const char* name, NodeId node, SimTime ts,
+               int64_t iteration = -1) {
+    for (SimObserver* o : observers()) o->OnInstant(name, node, ts, iteration);
+  }
+  /// \brief Emits a named span to every observer.
+  void Span(const char* name, NodeId node, SimTime start, double seconds,
+            uint64_t bytes = 0, int64_t iteration = -1) {
+    for (SimObserver* o : observers()) {
+      o->OnSpan(name, node, start, seconds, bytes, iteration);
     }
   }
-  CritPathRecorder* critpath() const { return critpath_; }
 
   NodeId master() const { return 0; }
   NodeId worker_node(int k) const {
@@ -122,30 +124,25 @@ class ClusterRuntime {
 
   SimTime clock(NodeId node) const { return clocks_[node]; }
   void set_clock(NodeId node, SimTime t) {
-    if (critpath_ != nullptr) critpath_->OnSetClock(node, t);
+    for (SimObserver* o : observers()) o->OnSetClock(node, t);
     clocks_[node] = t;
   }
   void AdvanceClock(NodeId node, double seconds) {
-    if (critpath_ != nullptr) {
-      critpath_->OnAdvance(node, seconds, CritOpKind::kLocal, 0);
-    }
+    for (SimObserver* o : observers()) o->OnLocal(node, seconds);
     clocks_[node] += seconds;
   }
   /// \brief Moves a node's clock forward to `t` if it is behind (message
   /// arrival / barrier semantics).
   void SyncClockTo(NodeId node, SimTime t) {
-    if (critpath_ != nullptr) critpath_->OnSyncClock(node, t);
+    for (SimObserver* o : observers()) o->OnSyncClock(node, t);
     clocks_[node] = std::max(clocks_[node], t);
   }
 
   /// \brief Charges `flops` of compute on a node's clock.
   void ChargeCompute(NodeId node, uint64_t flops) {
     const double seconds = spec_.compute.SecondsFor(flops);
-    if (tracer_ != nullptr) {
-      tracer_->RecordCompute(node, clocks_[node], seconds, flops);
-    }
-    if (critpath_ != nullptr) {
-      critpath_->OnAdvance(node, seconds, CritOpKind::kCompute, flops);
+    for (SimObserver* o : observers()) {
+      o->OnCompute(node, clocks_[node], seconds, flops);
     }
     clocks_[node] += seconds;
   }
@@ -153,11 +150,8 @@ class ClusterRuntime {
   /// \brief Charges an O(bytes) dense-memory sweep on a node's clock.
   void ChargeMemTouch(NodeId node, uint64_t bytes) {
     const double seconds = static_cast<double>(bytes) / spec_.mem_bandwidth;
-    if (tracer_ != nullptr) {
-      tracer_->RecordMemTouch(node, clocks_[node], seconds, bytes);
-    }
-    if (critpath_ != nullptr) {
-      critpath_->OnAdvance(node, seconds, CritOpKind::kMem, bytes);
+    for (SimObserver* o : observers()) {
+      o->OnMemTouch(node, clocks_[node], seconds, bytes);
     }
     clocks_[node] += seconds;
   }
@@ -170,8 +164,7 @@ class ClusterRuntime {
   /// \brief BSP barrier: all clocks jump to the global maximum.
   void Barrier() {
     const SimTime t = MaxClock();
-    if (tracer_ != nullptr) tracer_->RecordBarrier(t);
-    if (critpath_ != nullptr) critpath_->OnBarrier(t);
+    for (SimObserver* o : observers()) o->OnBarrier(t);
     for (auto& c : clocks_) c = t;
   }
 
@@ -201,8 +194,6 @@ class ClusterRuntime {
   int total_workers_;
   SimNetwork net_;
   std::vector<SimTime> clocks_;
-  Tracer* tracer_ = nullptr;
-  CritPathRecorder* critpath_ = nullptr;
 };
 
 }  // namespace colsgd

@@ -22,6 +22,7 @@
 #include "model/factory.h"
 #include "model/model_spec.h"
 #include "obs/bench/timeseries.h"
+#include "obs/critpath/critpath.h"
 #include "obs/trace.h"
 #include "optim/optimizer.h"
 #include "storage/transform.h"
@@ -171,25 +172,23 @@ class Engine {
   /// master clock (obs/trace.h).
   Status RunIteration(int64_t iteration);
 
-  /// \brief Attaches a (non-owning, nullable) tracer to the engine and its
-  /// cluster runtime. Attach before Setup to capture loading traffic; the
-  /// tracer must outlive the engine or be detached with set_tracer(nullptr).
-  /// Tracing is passive — it changes no simulated time and no trained bit.
+  /// \brief Attaches a (non-owning, non-null) tracer to the cluster runtime,
+  /// once, before Setup (so loading traffic counts too), and keeps it for the
+  /// phase read-backs. Tracing is passive — it changes no simulated time and
+  /// no trained bit.
   void set_tracer(Tracer* tracer) {
     tracer_ = tracer;
-    runtime_->set_tracer(tracer);
+    runtime_->Observe(tracer);
   }
   Tracer* tracer() const { return tracer_; }
 
-  /// \brief Attaches a (non-owning, nullable) causal critical-path recorder
-  /// to the engine and its cluster runtime (DESIGN.md §16). Same lifecycle
-  /// and passivity contract as set_tracer: attach before Setup, and the
-  /// recorder changes no simulated time and no trained bit.
+  /// \brief Attaches a (non-owning, non-null) causal critical-path recorder
+  /// to the cluster runtime (DESIGN.md §16) and keeps it for the engines'
+  /// annotations. Same lifecycle and passivity contract as set_tracer.
   void set_critpath(CritPathRecorder* critpath) {
     critpath_ = critpath;
-    runtime_->set_critpath(critpath);
+    runtime_->Observe(critpath);
   }
-  CritPathRecorder* critpath() const { return critpath_; }
 
   /// \brief Attaches a (non-owning, nullable) per-iteration telemetry
   /// recorder. RunIteration deposits one TimeSeriesSample per iteration;
@@ -319,9 +318,12 @@ class Engine {
   /// clock. Engines bracket their DoRunIteration body with these so the
   /// phase breakdown tiles the iteration's master-clock delta exactly.
   void TracePhase(Phase phase) {
-    if (tracer_ != nullptr) {
-      tracer_->SetPhase(phase, runtime_->clock(runtime_->master()));
-    }
+    TracePhaseAt(phase, runtime_->clock(runtime_->master()));
+  }
+  /// \brief A phase boundary at master time `t`, for the SSP bodies, whose
+  /// master waits end at computed times.
+  void TracePhaseAt(Phase phase, SimTime t) {
+    for (SimObserver* o : runtime_->observers()) o->OnPhase(phase, t);
   }
 
   /// \brief Fires this iteration's fault events: task failures charge

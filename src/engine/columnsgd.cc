@@ -352,11 +352,11 @@ int ColumnSgdEngine::RunStatTask(const std::vector<int>& members,
     critpath_->AnnotateAdvance(node, compute_seconds, flops,
                                level(winner) * task_seconds);
   }
-  if (tracer_ != nullptr) {
-    // Charged via set_clock, not ChargeCompute, because backup replicas
-    // race on the same work.
-    tracer_->RecordCompute(node, runtime_->clock(node),
-                           finish - runtime_->clock(node), flops);
+  // Charged via set_clock, not ChargeCompute, because backup replicas race
+  // on the same work.
+  for (SimObserver* o : runtime_->observers()) {
+    o->OnComputeSpan(node, runtime_->clock(node),
+                     finish - runtime_->clock(node), flops);
   }
   runtime_->set_clock(node, finish);
   return winner;
@@ -576,11 +576,8 @@ Status ColumnSgdEngine::DoRunIterationSsp(int64_t iteration) {
   // up to there it was stalled behind the slack gate (ssp.wait), after it on
   // genuine compute + wire.
   const SimTime gather = runtime_->clock(master);
-  if (tracer_ != nullptr) {
-    tracer_->SetPhase(
-        Phase::kWire,
-        std::min(std::max(dispatch_end, last_compute_start), gather));
-  }
+  TracePhaseAt(Phase::kWire,
+               std::min(std::max(dispatch_end, last_compute_start), gather));
   TracePhase(Phase::kCompute);  // reduceStat + loss on the master
   std::vector<double> agg_stats = ReduceStat(group_stats, group0_view.labels);
 

@@ -36,11 +36,10 @@ Status Engine::RunIteration(int64_t iteration) {
   }
   last_grad_sq_ = std::numeric_limits<double>::quiet_NaN();
 
-  if (tracer_ != nullptr) {
-    // Time before the engine body's first phase mark (i.e. ProcessFaults)
-    // is charged to kRecovery; see Tracer::BeginIteration.
-    tracer_->BeginIteration(iteration,
-                            runtime_->clock(runtime_->master()));
+  // Time before the engine body's first phase mark (i.e. ProcessFaults) is
+  // charged to kRecovery; see Tracer::OnIterationBegin.
+  for (SimObserver* o : runtime_->observers()) {
+    o->OnIterationBegin(iteration, runtime_->clock(runtime_->master()));
   }
   Status status = Status::OK();
   if (config_.ssp.enabled &&
@@ -69,8 +68,8 @@ Status Engine::RunIteration(int64_t iteration) {
     TracePhase(Phase::kCheckpoint);
     status = MaybeCheckpoint(iteration);
   }
-  if (tracer_ != nullptr) {
-    tracer_->EndIteration(runtime_->clock(runtime_->master()));
+  for (SimObserver* o : runtime_->observers()) {
+    o->OnIterationEnd(runtime_->clock(runtime_->master()));
   }
 
   if (recording && status.ok()) {
@@ -141,12 +140,9 @@ void Engine::ProcessFaults(int64_t iteration) {
       ++recovery_.task_failures;
       const double delay = detector_.TaskRetryDelay(attempts[event.worker]++);
       const NodeId node = runtime_->worker_node(event.worker);
-      if (tracer_ != nullptr) {
-        tracer_->RecordInstant("fault.task", node, runtime_->clock(node),
-                               iteration);
-        tracer_->RecordSpan("recovery.retry", node, runtime_->clock(node),
-                            delay, 0, iteration);
-      }
+      runtime_->Instant("fault.task", node, runtime_->clock(node), iteration);
+      runtime_->Span("recovery.retry", node, runtime_->clock(node), delay, 0,
+                     iteration);
       runtime_->AdvanceClock(node, delay);
       recovery_.recovery_seconds += delay;
       continue;
@@ -156,14 +152,11 @@ void Engine::ProcessFaults(int64_t iteration) {
     // wait for it. Recovery time and bytes are measured, not modeled.
     ++recovery_.worker_failures;
     const double detection = detector_.WorkerDetectionDelay();
-    if (tracer_ != nullptr) {
-      tracer_->RecordInstant("fault.worker",
-                             runtime_->worker_node(event.worker),
-                             runtime_->clock(runtime_->master()), iteration);
-      tracer_->RecordSpan("recovery.detect", runtime_->master(),
-                          runtime_->clock(runtime_->master()), detection, 0,
-                          iteration);
-    }
+    runtime_->Instant("fault.worker", runtime_->worker_node(event.worker),
+                      runtime_->clock(runtime_->master()), iteration);
+    runtime_->Span("recovery.detect", runtime_->master(),
+                   runtime_->clock(runtime_->master()), detection, 0,
+                   iteration);
     runtime_->AdvanceClock(runtime_->master(), detection);
     recovery_.detection_seconds += detection;
     // The cluster stalls until the master has declared the death and
@@ -179,12 +172,10 @@ void Engine::ProcessFaults(int64_t iteration) {
         runtime_->clock(runtime_->master()) - repair_start;
     const TrafficStats after = runtime_->net().TotalStats();
     recovery_.bytes_retransferred += after.bytes_sent - before.bytes_sent;
-    if (tracer_ != nullptr) {
-      tracer_->RecordSpan("recovery.repair",
-                          runtime_->worker_node(event.worker), repair_start,
-                          runtime_->clock(runtime_->master()) - repair_start,
-                          after.bytes_sent - before.bytes_sent, iteration);
-    }
+    runtime_->Span("recovery.repair", runtime_->worker_node(event.worker),
+                   repair_start,
+                   runtime_->clock(runtime_->master()) - repair_start,
+                   after.bytes_sent - before.bytes_sent, iteration);
   }
 }
 
@@ -208,14 +199,11 @@ Status Engine::ProcessMembership(int64_t iteration) {
     recovery_.membership_seconds +=
         runtime_->clock(runtime_->master()) - start;
     recovery_.membership_bytes_moved += after.bytes_sent - before.bytes_sent;
-    if (tracer_ != nullptr) {
-      tracer_->RecordSpan(
-          change.kind == MembershipChange::Kind::kGrow ? "membership.grow"
-                                                       : "membership.shrink",
-          runtime_->master(), start,
-          runtime_->clock(runtime_->master()) - start,
-          after.bytes_sent - before.bytes_sent, iteration);
-    }
+    runtime_->Span(
+        change.kind == MembershipChange::Kind::kGrow ? "membership.grow"
+                                                     : "membership.shrink",
+        runtime_->master(), start, runtime_->clock(runtime_->master()) - start,
+        after.bytes_sent - before.bytes_sent, iteration);
   }
   return Status::OK();
 }
@@ -238,12 +226,11 @@ Status Engine::MaybeCheckpoint(int64_t iteration) {
       faults_.plan.CheckpointDamageDraw(iteration)));
   if (fault != CheckpointFault::kNone) {
     ++recovery_.checkpoints_corrupted;
-    if (tracer_ != nullptr) {
-      tracer_->RecordInstant(
-          fault == CheckpointFault::kTornWrite ? "fault.ckpt_torn"
-                                               : "fault.ckpt_bitrot",
-          runtime_->master(), runtime_->clock(runtime_->master()), iteration);
-    }
+    runtime_->Instant(fault == CheckpointFault::kTornWrite
+                          ? "fault.ckpt_torn"
+                          : "fault.ckpt_bitrot",
+                      runtime_->master(), runtime_->clock(runtime_->master()),
+                      iteration);
   }
   runtime_->AdvanceClock(runtime_->master(),
                          static_cast<double>(checkpoints_.bytes()) /
@@ -253,11 +240,9 @@ Status Engine::MaybeCheckpoint(int64_t iteration) {
   ++recovery_.checkpoints_taken;
   recovery_.checkpoint_bytes += checkpoints_.bytes();
   recovery_.checkpoint_seconds += runtime_->clock(runtime_->master()) - start;
-  if (tracer_ != nullptr) {
-    tracer_->RecordSpan("checkpoint", runtime_->master(), start,
-                        runtime_->clock(runtime_->master()) - start,
-                        checkpoints_.bytes(), iteration);
-  }
+  runtime_->Span("checkpoint", runtime_->master(), start,
+                 runtime_->clock(runtime_->master()) - start,
+                 checkpoints_.bytes(), iteration);
   return Status::OK();
 }
 
@@ -272,10 +257,8 @@ void Engine::SendLostCopies(NodeId from, NodeId to, uint64_t wire_bytes,
     // brown-out, not a livelock — see DESIGN.md §10).
     const int attempts = detector_.config().partition_retry_limit;
     for (int a = 0; a < attempts; ++a) {
-      if (tracer_ != nullptr) {
-        tracer_->RecordInstant("fault.partition", from, runtime_->clock(from),
-                               iteration);
-      }
+      runtime_->Instant("fault.partition", from, runtime_->clock(from),
+                        iteration);
       runtime_->net().Send(from, to, wire_bytes, runtime_->clock(from));
       runtime_->AdvanceClock(from, detector_.RetransmitDelay(a));
       ++recovery_.retransmits;
@@ -286,10 +269,7 @@ void Engine::SendLostCopies(NodeId from, NodeId to, uint64_t wire_bytes,
   if (faults_.plan.DropMessage(iteration, ifrom, ito)) {
     // The lost copy occupies the sender's NIC and the wire but never syncs
     // the receiver; the sender retransmits after the ack timeout.
-    if (tracer_ != nullptr) {
-      tracer_->RecordInstant("fault.drop", from, runtime_->clock(from),
-                             iteration);
-    }
+    runtime_->Instant("fault.drop", from, runtime_->clock(from), iteration);
     runtime_->net().Send(from, to, wire_bytes, runtime_->clock(from));
     runtime_->AdvanceClock(from, detector_.ack_timeout());
     ++recovery_.messages_dropped;
@@ -313,10 +293,7 @@ SimTime Engine::SendWithFaults(NodeId from, NodeId to, uint64_t bytes,
     // and is NACK'd back; the sender then retransmits a clean copy. The
     // flipped payload is never handed to the engine — detection is what the
     // trailer guarantees (tests/simnet_test.cc pins it on real frames).
-    if (tracer_ != nullptr) {
-      tracer_->RecordInstant("fault.corrupt", to, runtime_->clock(to),
-                             iteration);
-    }
+    runtime_->Instant("fault.corrupt", to, runtime_->clock(to), iteration);
     runtime_->Send(from, to, wire_bytes);
     runtime_->ChargeMemTouch(to, wire_bytes);  // CRC sweep finds the damage
     runtime_->Send(to, from, kNackBytes);      // control-sized NACK
@@ -352,10 +329,7 @@ SimTime Engine::GatedSendWithFaults(NodeId from, NodeId to, uint64_t bytes,
     // The corrupted copy arrives, fails the receiver's CRC sweep, and is
     // NACK'd back at arrival + sweep; the sender blocks on the NACK (it
     // cannot know to retransmit earlier) and then sends a clean copy.
-    if (tracer_ != nullptr) {
-      tracer_->RecordInstant("fault.corrupt", to, runtime_->clock(to),
-                             iteration);
-    }
+    runtime_->Instant("fault.corrupt", to, runtime_->clock(to), iteration);
     const SimTime bad_arrival =
         runtime_->net().Send(from, to, wire_bytes, runtime_->clock(from));
     if (critpath_ != nullptr) {

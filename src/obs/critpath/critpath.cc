@@ -2,16 +2,14 @@
 
 namespace colsgd {
 
-void CritPathRecorder::Attach(const double* clocks, size_t num_nodes,
-                              int num_workers, double latency,
-                              double bandwidth, double overhead,
-                              uint64_t control_bytes) {
-  now_.assign(clocks, clocks + num_nodes);
-  num_workers_ = num_workers;
-  latency_ = latency;
-  bandwidth_ = bandwidth;
-  overhead_ = overhead;
-  control_bytes_ = control_bytes;
+void CritPathRecorder::OnAttach(const SimShape& shape) {
+  const size_t num_nodes = shape.num_nodes;
+  now_.assign(shape.clocks, shape.clocks + num_nodes);
+  num_workers_ = shape.num_workers;
+  latency_ = shape.latency;
+  bandwidth_ = shape.bandwidth;
+  overhead_ = shape.per_message_overhead;
+  control_bytes_ = shape.control_bytes;
   ops_.clear();
   keyed_.clear();
   stamps_.clear();

@@ -1,21 +1,17 @@
 // Causal critical-path recorder (DESIGN.md §16).
 //
-// A CritPathRecorder attaches to the ClusterRuntime + SimNetwork the same way
-// the Tracer does and passively mirrors every clock mutation into a flat
-// *op log*: compute/mem/local advances, wire transfers with their exact NIC
-// queueing state, barriers, and clock sets/syncs with a *cause* (which
-// message's delivery, which node's clock, which SSP gate, or an external
-// anchor explains the new timestamp). The simulator is single-threaded, so
-// log order == program order == causal order; that makes the log both a DAG
-// (ops + cause edges) and an exactly replayable schedule.
+// A CritPathRecorder is one subscriber to the SimObserver event stream
+// (obs/observer.h), like the Tracer. It passively mirrors every clock
+// mutation into a flat *op log*: compute/mem/local advances, wire transfers
+// with their exact NIC queueing state, barriers, and clock sets/syncs with a
+// *cause* (which message's delivery, which node's clock, which SSP gate, or
+// an external anchor explains the new timestamp). The simulator is
+// single-threaded, so log order == program order == causal order; that makes
+// the log both a DAG (ops + cause edges) and an exactly replayable schedule.
 //
 // Passivity: the recorder only reads simulation state. Attaching it changes
 // no simulated timestamp and no trained bit (tests/critpath_test.cc pins
 // this bitwise, like the tracer's passivity test).
-//
-// Layering: this header is included by simnet/network.h and
-// cluster/cluster.h, so — like obs/trace.h — it uses plain uint32_t/double
-// instead of the NodeId/SimTime aliases and includes nothing from simnet.
 #ifndef COLSGD_OBS_CRITPATH_CRITPATH_H_
 #define COLSGD_OBS_CRITPATH_CRITPATH_H_
 
@@ -23,6 +19,8 @@
 #include <cstring>
 #include <unordered_map>
 #include <vector>
+
+#include "obs/observer.h"
 
 namespace colsgd {
 
@@ -115,26 +113,34 @@ struct CritDag {
   }
 };
 
-/// \brief Passive causal recorder. ClusterRuntime::set_critpath attaches it
-/// to every clock mutator and to SimNetwork::Send; engines add optional
-/// annotations (Annotate*) that make exogenous timestamps replayable.
-class CritPathRecorder {
+/// \brief Passive causal recorder. Attached with ClusterRuntime::Observe (or
+/// Engine/ServeFleet::set_critpath), it records every clock event and every
+/// message; engines add optional annotations (Annotate*) that make
+/// exogenous timestamps replayable.
+class CritPathRecorder : public SimObserver {
  public:
-  /// \brief Binds the recorder to a cluster: called by
-  /// ClusterRuntime::set_critpath with the current clocks (normally all 0).
-  void Attach(const double* clocks, size_t num_nodes, int num_workers,
-              double latency, double bandwidth, double overhead,
-              uint64_t control_bytes);
+  /// \brief Binds the recorder to a cluster's current clocks (normally all
+  /// 0) and network shape, and clears the log.
+  void OnAttach(const SimShape& shape) override;
 
-  // --- runtime hooks (read-only; null-checked at every call site) ---------
-  void OnAdvance(uint32_t node, double seconds, CritOpKind kind,
-                 uint64_t flops);
-  void OnSetClock(uint32_t node, double t);
-  void OnSyncClock(uint32_t node, double t);
-  void OnBarrier(double t);
+  // --- clock events (read-only) -------------------------------------------
+  void OnCompute(uint32_t node, double, double seconds,
+                 uint64_t flops) override {
+    OnAdvance(node, seconds, CritOpKind::kCompute, flops);
+  }
+  void OnMemTouch(uint32_t node, double, double seconds,
+                  uint64_t bytes) override {
+    OnAdvance(node, seconds, CritOpKind::kMem, bytes);
+  }
+  void OnLocal(uint32_t node, double seconds) override {
+    OnAdvance(node, seconds, CritOpKind::kLocal, 0);
+  }
+  void OnSetClock(uint32_t node, double t) override;
+  void OnSyncClock(uint32_t node, double t) override;
+  void OnBarrier(double t) override;
   void OnSend(uint32_t from, uint32_t to, uint64_t bytes, bool control,
               double sender_time, double tx_start, double tx_done,
-              double rx_start, double rx_done);
+              double rx_start, double rx_done) override;
 
   // --- engine annotations (optional; improve blame + what-if fidelity) ----
   /// \brief The next set_clock on `node` is a self-clocked compute advance:
@@ -174,6 +180,8 @@ class CritPathRecorder {
   CritDag Snapshot() const;
 
  private:
+  void OnAdvance(uint32_t node, double seconds, CritOpKind kind,
+                 uint64_t flops);
   static uint64_t Bits(double v) {
     uint64_t b;
     std::memcpy(&b, &v, sizeof(b));

@@ -16,8 +16,8 @@ namespace colsgd {
 
 /// \brief Serializes the trace as Chrome trace_event JSON. Timestamps are
 /// simulated microseconds; each node exports as one process (pid = node id,
-/// named via SetTopology), with tid 0 = raw events and tid 1 = the master's
-/// iteration/phase track.
+/// named from the shape the tracer was attached with), with tid 0 = raw
+/// events and tid 1 = the master's iteration/phase track.
 std::string ChromeTraceJson(const Tracer& tracer);
 
 /// \brief Writes ChromeTraceJson(tracer) to `path`.

@@ -27,9 +27,9 @@ std::string Tracer::NodeName(uint32_t node) const {
   return "worker " + std::to_string(node - 1);
 }
 
-void Tracer::RecordNetSend(uint32_t from, uint32_t to, uint64_t bytes,
-                           bool control, double tx_start, double tx_done,
-                           double rx_start, double rx_done) {
+void Tracer::OnSend(uint32_t from, uint32_t to, uint64_t bytes, bool control,
+                    double /*sender_time*/, double tx_start, double tx_done,
+                    double rx_start, double rx_done) {
   TraceEvent event;
   event.name = "net.send";
   event.ph = 'X';
@@ -50,8 +50,8 @@ void Tracer::RecordNetSend(uint32_t from, uint32_t to, uint64_t bytes,
       ->Observe(static_cast<double>(bytes));
 }
 
-void Tracer::RecordCompute(uint32_t node, double start, double seconds,
-                           uint64_t flops) {
+void Tracer::OnCompute(uint32_t node, double start, double seconds,
+                       uint64_t flops) {
   TraceEvent event;
   event.name = "compute";
   event.ph = 'X';
@@ -66,8 +66,8 @@ void Tracer::RecordCompute(uint32_t node, double start, double seconds,
   metrics_.GetHistogram("compute.seconds")->Observe(seconds);
 }
 
-void Tracer::RecordMemTouch(uint32_t node, double start, double seconds,
-                            uint64_t bytes) {
+void Tracer::OnMemTouch(uint32_t node, double start, double seconds,
+                        uint64_t bytes) {
   TraceEvent event;
   event.name = "mem.touch";
   event.ph = 'X';
@@ -80,19 +80,19 @@ void Tracer::RecordMemTouch(uint32_t node, double start, double seconds,
   metrics_.GetCounter("mem.touch.bytes")->Add(bytes);
 }
 
-void Tracer::RecordBarrier(double ts) {
+void Tracer::OnBarrier(double t) {
   TraceEvent event;
   event.name = "barrier";
   event.ph = 'i';
   event.node = 0;
-  event.ts = ts;
+  event.ts = t;
   events_.push_back(event);
 
   metrics_.GetCounter("barrier.count")->Increment();
 }
 
-void Tracer::RecordInstant(const char* name, uint32_t node, double ts,
-                           int64_t iteration) {
+void Tracer::OnInstant(const char* name, uint32_t node, double ts,
+                       int64_t iteration) {
   TraceEvent event;
   event.name = name;
   event.ph = 'i';
@@ -104,8 +104,8 @@ void Tracer::RecordInstant(const char* name, uint32_t node, double ts,
   metrics_.GetCounter(name)->Increment();
 }
 
-void Tracer::RecordSpan(const char* name, uint32_t node, double start,
-                        double seconds, uint64_t bytes, int64_t iteration) {
+void Tracer::OnSpan(const char* name, uint32_t node, double start,
+                    double seconds, uint64_t bytes, int64_t iteration) {
   TraceEvent event;
   event.name = name;
   event.ph = 'X';
@@ -119,8 +119,8 @@ void Tracer::RecordSpan(const char* name, uint32_t node, double start,
   metrics_.GetCounter(name)->Increment();
 }
 
-void Tracer::BeginIteration(int64_t iteration, double master_clock) {
-  COLSGD_CHECK(!in_iteration_) << "BeginIteration without EndIteration";
+void Tracer::OnIterationBegin(int64_t iteration, double master_clock) {
+  COLSGD_CHECK(!in_iteration_) << "OnIterationBegin without OnIterationEnd";
   in_iteration_ = true;
   current_ = IterationPhases{};
   current_.iteration = iteration;
@@ -146,13 +146,13 @@ void Tracer::ClosePhase(double now) {
   phase_start_ = now;
 }
 
-void Tracer::SetPhase(Phase phase, double master_clock) {
+void Tracer::OnPhase(Phase phase, double master_clock) {
   if (!in_iteration_) return;
   ClosePhase(master_clock);
   current_phase_ = phase;
 }
 
-void Tracer::EndIteration(double master_clock) {
+void Tracer::OnIterationEnd(double master_clock) {
   if (!in_iteration_) return;
   ClosePhase(master_clock);
   current_.end = master_clock;

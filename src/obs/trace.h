@@ -2,12 +2,10 @@
 //
 // A Tracer records what the simulation *did* — every message on the wire,
 // every compute block, every barrier/fault/recovery/checkpoint — on the
-// simulated clocks, never on host wall time. Hooks live in SimNetwork::Send,
-// ClusterRuntime::{ChargeCompute,ChargeMemTouch,Barrier}, and the engines;
-// all of them are a single null-pointer check when tracing is off, and a
-// tracer only ever reads simulation state, so attaching one changes no
-// simulated timestamp and no trained bit (tests/obs_trace_test.cc pins
-// this).
+// simulated clocks, never on host wall time. It is one subscriber to the
+// SimObserver event stream (obs/observer.h): it overrides the events it
+// records and reads nothing else, so attaching one changes no simulated
+// timestamp and no trained bit (tests/obs_trace_test.cc pins this).
 //
 // Two views of a run:
 //
@@ -16,10 +14,10 @@
 //  * the per-iteration PHASE breakdown (iterations()): the master-clock
 //    delta of each iteration decomposed into serialization / compute / wire
 //    / barrier / recovery / checkpoint segments. Engines bracket their
-//    iteration body with SetPhase marks; every master-clock advance between
-//    two marks is charged to the phase of the earlier mark, so the phases
-//    sum to the iteration's master-clock delta *exactly* (DESIGN.md §8 says
-//    when each category is charged).
+//    iteration body with phase marks (OnPhase); every master-clock advance
+//    between two marks is charged to the phase of the earlier mark, so the
+//    phases sum to the iteration's master-clock delta *exactly* (DESIGN.md
+//    §8 says when each category is charged).
 #ifndef COLSGD_OBS_TRACE_H_
 #define COLSGD_OBS_TRACE_H_
 
@@ -28,20 +26,9 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/observer.h"
 
 namespace colsgd {
-
-/// \brief Categories of master-clock time within one iteration.
-enum class Phase : int {
-  kSerialization = 0,  // driver dispatch + task/message serialization
-  kCompute,            // master-side compute (reduceStat, model update)
-  kWire,               // master waits on network arrivals (gather/pushes)
-  kBarrier,            // BSP barrier waits
-  kRecovery,           // fault detection + engine repair
-  kCheckpoint,         // checkpoint gather + stable-storage write
-  kSspWait,            // bounded-staleness stall: slack gate + drain waits
-  kNumPhases,
-};
 
 const char* PhaseName(Phase phase);
 
@@ -94,65 +81,59 @@ struct TraceEvent {
   int64_t iteration = -1;   // engine-level events
 };
 
-/// \brief Records simulated-time events and aggregates metrics. Non-owning
-/// users (SimNetwork, ClusterRuntime, Engine) hold a raw pointer; the tracer
-/// must outlive them or be detached first.
-class Tracer {
+/// \brief Records simulated-time events and aggregates metrics. Attached
+/// with ClusterRuntime::Observe (or Engine/ServeFleet::set_tracer); it is not
+/// owned and must outlive the runtime it observes.
+class Tracer : public SimObserver {
  public:
   Tracer() = default;
 
   /// \brief Binds node-id semantics for exports: node 0 is the master,
   /// nodes 1..num_workers are workers, anything above is a co-located
-  /// server endpoint. Called by ClusterRuntime::set_tracer.
-  void SetTopology(int num_nodes, int num_workers) {
-    num_nodes_ = num_nodes;
-    num_workers_ = num_workers;
+  /// server endpoint.
+  void OnAttach(const SimShape& shape) override {
+    num_nodes_ = static_cast<int>(shape.num_nodes);
+    num_workers_ = shape.num_workers;
   }
   int num_nodes() const { return num_nodes_; }
   int num_workers() const { return num_workers_; }
   /// \brief Display name of a node ("master", "worker 3", "server 1").
   std::string NodeName(uint32_t node) const;
 
-  // ---- Raw hooks (simnet / cluster runtime) ------------------------------
+  // ---- Raw events: one net.send, compute, mem.touch or barrier each ------
 
-  /// \brief One message on the wire. `tx_start`..`tx_done` is the sender's
-  /// outbound-NIC occupancy (after queueing), `rx_start`..`rx_done` the
-  /// receiver's inbound-NIC occupancy (empty for control frames).
-  void RecordNetSend(uint32_t from, uint32_t to, uint64_t bytes, bool control,
-                     double tx_start, double tx_done, double rx_start,
-                     double rx_done);
-  /// \brief One compute block charged on `node` at `start` for `seconds`.
-  void RecordCompute(uint32_t node, double start, double seconds,
-                     uint64_t flops);
-  /// \brief One dense-memory sweep charged on `node`.
-  void RecordMemTouch(uint32_t node, double start, double seconds,
-                      uint64_t bytes);
-  /// \brief A BSP barrier completing at simulated time `ts`.
-  void RecordBarrier(double ts);
+  void OnSend(uint32_t from, uint32_t to, uint64_t bytes, bool control,
+              double sender_time, double tx_start, double tx_done,
+              double rx_start, double rx_done) override;
+  void OnCompute(uint32_t node, double start, double seconds,
+                 uint64_t flops) override;
+  void OnComputeSpan(uint32_t node, double start, double seconds,
+                     uint64_t flops) override {
+    OnCompute(node, start, seconds, flops);
+  }
+  void OnMemTouch(uint32_t node, double start, double seconds,
+                  uint64_t bytes) override;
+  void OnBarrier(double t) override;
 
-  // ---- Engine-level events ----------------------------------------------
+  // ---- Engine-level events: each also bumps the counter of its name ------
 
-  /// \brief Instant event (fault.task, fault.worker, fault.drop, ...);
-  /// also bumps the counter of the same name.
-  void RecordInstant(const char* name, uint32_t node, double ts,
-                     int64_t iteration = -1);
-  /// \brief Span event (recovery.repair, checkpoint, ...); also bumps the
-  /// counter of the same name.
-  void RecordSpan(const char* name, uint32_t node, double start,
-                  double seconds, uint64_t bytes = 0, int64_t iteration = -1);
+  void OnInstant(const char* name, uint32_t node, double ts,
+                 int64_t iteration) override;
+  void OnSpan(const char* name, uint32_t node, double start, double seconds,
+              uint64_t bytes, int64_t iteration) override;
 
   // ---- Master-timeline phase accounting (engines) ------------------------
 
   /// \brief Opens iteration `iteration` at master clock `master_clock`; time
-  /// until the first SetPhase mark is charged to kRecovery (RunIteration
-  /// fires faults before the engine body runs).
-  void BeginIteration(int64_t iteration, double master_clock);
+  /// until the first phase mark is charged to kRecovery (RunIteration fires
+  /// faults before the engine body runs).
+  void OnIterationBegin(int64_t iteration, double master_clock) override;
   /// \brief Charges master-clock time since the previous mark to the
   /// previous mark's phase, then opens `phase`. No-op outside an iteration.
-  void SetPhase(Phase phase, double master_clock);
+  void OnPhase(Phase phase, double master_clock) override;
   /// \brief Closes the open phase and the iteration; emits the iteration +
   /// phase spans and feeds the phase histograms.
-  void EndIteration(double master_clock);
+  void OnIterationEnd(double master_clock) override;
 
   // ---- Results -----------------------------------------------------------
 

@@ -447,21 +447,14 @@ void ServeFleet::FireHedge(FleetBatch* batch) {
     // duplicate would race the flip. Cheaper to absorb the tail than to
     // fire a hedge the response-side barrier would discard anyway.
     ++hedges_suppressed_;
-    if (runtime_->tracer() != nullptr) {
-      runtime_->tracer()->RecordInstant("serve.hedge_suppressed", router,
-                                        fire);
-    }
+    runtime_->Instant("serve.hedge_suppressed", router, fire);
     return;
   }
   batch->hedged = true;
   ++hedges_fired_;
   Forward(batch, target, runtime_->clock(router), /*is_hedge=*/true);
-  if (runtime_->tracer() != nullptr) {
-    runtime_->tracer()->RecordSpan("serve.hedge", router, fire,
-                                   runtime_->clock(router) - fire,
-                                   RouteMessageBytes(batch->rows.size()),
-                                   target);
-  }
+  runtime_->Span("serve.hedge", router, fire, runtime_->clock(router) - fire,
+                 RouteMessageBytes(batch->rows.size()), target);
 }
 
 void ServeFleet::ProcessSwapEvent(ScheduledFleetSwap* swap) {
@@ -478,10 +471,7 @@ void ServeFleet::ProcessSwapEvent(ScheduledFleetSwap* swap) {
       ParseSwapImage(swap->image, served_);
   if (!image.ok()) {
     ++swaps_failed_;
-    if (runtime_->tracer() != nullptr) {
-      runtime_->tracer()->RecordInstant("serve.swap_rejected", router,
-                                        runtime_->clock(router));
-    }
+    runtime_->Instant("serve.swap_rejected", router, runtime_->clock(router));
     return;
   }
   double last_done = start;
@@ -493,10 +483,8 @@ void ServeFleet::ProcessSwapEvent(ScheduledFleetSwap* swap) {
         last_done, group->ApplyValidatedSwap(arrival, image.ValueOrDie(),
                                              swap->trained_iterations));
   }
-  if (runtime_->tracer() != nullptr) {
-    runtime_->tracer()->RecordSpan("serve.swap", router, start,
-                                   last_done - start, swap->image.size());
-  }
+  runtime_->Span("serve.swap", router, start, last_done - start,
+                 swap->image.size());
 }
 
 void ServeFleet::ProcessGroupLossDetection(ScheduledGroupLoss* loss) {
@@ -554,11 +542,9 @@ void ServeFleet::ProcessGroupLossDetection(ScheduledGroupLoss* loss) {
     }
   }
   down_at_[static_cast<size_t>(g)] = next_down;
-  if (runtime_->tracer() != nullptr) {
-    runtime_->tracer()->RecordSpan("serve.group_drain", router, detected,
-                                   runtime_->clock(router) - detected,
-                                   static_cast<uint64_t>(drained), g);
-  }
+  runtime_->Span("serve.group_drain", router, detected,
+                 runtime_->clock(router) - detected,
+                 static_cast<uint64_t>(drained), g);
 }
 
 Status ServeFleet::Run(const std::vector<ServeRequest>& arrivals) {
@@ -807,12 +793,9 @@ void ServeFleet::RunRouted(const std::vector<ServeRequest>& arrivals) {
             b->hedge_fire = b->attempts.front().forward_sent + budget;
           }
         }
-        if (runtime_->tracer() != nullptr) {
-          runtime_->tracer()->RecordSpan(
-              "serve.route", router, t_dispatch,
-              runtime_->clock(router) - t_dispatch,
-              RouteMessageBytes(b->rows.size()), group);
-        }
+        runtime_->Span("serve.route", router, t_dispatch,
+                       runtime_->clock(router) - t_dispatch,
+                       RouteMessageBytes(b->rows.size()), group);
         break;
       }
       case 5:

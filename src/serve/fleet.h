@@ -71,6 +71,8 @@
 #include "cluster/cluster.h"
 #include "cluster/fault/failure_detector.h"
 #include "common/rng.h"
+#include "obs/critpath/critpath.h"
+#include "obs/trace.h"
 #include "serve/frontend_types.h"
 #include "serve/group.h"
 #include "serve/workload.h"
@@ -187,10 +189,10 @@ class ServeFleet {
   /// \brief The client-ingress endpoint responses and rejection replies
   /// are charged to.
   NodeId ingress() const { return ingress_; }
-  void set_tracer(Tracer* tracer) { runtime_->set_tracer(tracer); }
-  void set_critpath(CritPathRecorder* critpath) {
-    runtime_->set_critpath(critpath);
-  }
+  /// \brief Attaches a (non-owning, non-null) observer to the fleet's
+  /// runtime (ClusterRuntime::Observe), once, before the first install.
+  void set_tracer(Tracer* tracer) { runtime_->Observe(tracer); }
+  void set_critpath(CritPathRecorder* critpath) { runtime_->Observe(critpath); }
 
  private:
   static constexpr double kNever = std::numeric_limits<double>::infinity();

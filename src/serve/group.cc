@@ -42,10 +42,8 @@ double ShardGroup::TransferImage(const ShardedModelImage& image) {
     ShipPartition(image, k);
     done = std::max(done, runtime_->clock(shards_[static_cast<size_t>(k)]));
   }
-  if (runtime_->tracer() != nullptr) {
-    runtime_->tracer()->RecordSpan("serve.install", frontend_, start,
-                                   done - start, image.WeightBytes());
-  }
+  runtime_->Span("serve.install", frontend_, start, done - start,
+                 image.WeightBytes());
   return done;
 }
 
@@ -117,10 +115,8 @@ void ShardGroup::ProcessSwap(ScheduledSwap* swap) {
   if (image.ok()) {
     const double done = InstallImage(start, std::move(image).ValueUnsafe(),
                                      swap->trained_iterations);
-    if (runtime_->tracer() != nullptr) {
-      runtime_->tracer()->RecordSpan("serve.swap", frontend_, start,
-                                     done - start, swap->image.size());
-    }
+    runtime_->Span("serve.swap", frontend_, start, done - start,
+                   swap->image.size());
   } else {
     // Damaged or mismatched image: the active generation keeps serving.
     GenerationInfo info;
@@ -128,10 +124,8 @@ void ShardGroup::ProcessSwap(ScheduledSwap* swap) {
     info.install_start = start;
     info.install_done = runtime_->clock(frontend_);
     registry_.RecordFailedInstall(info);
-    if (runtime_->tracer() != nullptr) {
-      runtime_->tracer()->RecordInstant("serve.swap_rejected", frontend_,
-                                        runtime_->clock(frontend_));
-    }
+    runtime_->Instant("serve.swap_rejected", frontend_,
+                      runtime_->clock(frontend_));
   }
   // Stall is the frontend-core time the install consumed (validation +
   // partitioning sweeps); the shard transfers overlap with serving on the
@@ -164,11 +158,9 @@ void ShardGroup::ProcessEventsUpTo(double t) {
       if (shard_alive_[shard]) {
         shard_alive_[shard] = false;
         shard_failed_at_[shard] = next_failure->time;
-        if (runtime_->tracer() != nullptr) {
-          runtime_->tracer()->RecordInstant("serve.shard_fail",
-                                            shards_[static_cast<size_t>(shard)],
-                                            next_failure->time);
-        }
+        runtime_->Instant("serve.shard_fail",
+                          shards_[static_cast<size_t>(shard)],
+                          next_failure->time);
       }
       next_failure->done = true;
     } else {
@@ -257,10 +249,8 @@ BatchOutcome ShardGroup::ServeBatch(const std::vector<uint32_t>& rows,
     runtime_->SyncClockTo(frontend_, completion);
   }
 
-  if (runtime_->tracer() != nullptr) {
-    runtime_->tracer()->RecordSpan("serve.batch", frontend_, t_dispatch,
-                                   completion - t_dispatch, 0, batch_tag);
-  }
+  runtime_->Span("serve.batch", frontend_, t_dispatch,
+                 completion - t_dispatch, 0, batch_tag);
 
   out.scores = scored.scores;
   out.scatter_end = scatter_end;
@@ -308,16 +298,14 @@ std::vector<FailoverRecord> ShardGroup::ReinstallDeadShards(double detected) {
     fo.reinstall_bytes = bytes;
     records.push_back(fo);
     shard_alive_[shard] = true;
-    if (runtime_->tracer() != nullptr) {
-      runtime_->tracer()->RecordSpan("serve.failover", node, detected,
-                                     fo.recovered_at - detected, bytes);
-      // Named split of the outage: time-to-detect vs time-to-reinstall,
-      // surfaced by colsgd_trace's span table.
-      runtime_->tracer()->RecordSpan("serve.failover.detect", node,
-                                     fo.failed_at, detected - fo.failed_at, 0);
-      runtime_->tracer()->RecordSpan("serve.failover.reinstall", node, detected,
-                                     fo.recovered_at - detected, bytes);
-    }
+    runtime_->Span("serve.failover", node, detected,
+                   fo.recovered_at - detected, bytes);
+    // Named split of the outage: time-to-detect vs time-to-reinstall,
+    // surfaced by colsgd_trace's span table.
+    runtime_->Span("serve.failover.detect", node, fo.failed_at,
+                   detected - fo.failed_at, 0);
+    runtime_->Span("serve.failover.reinstall", node, detected,
+                   fo.recovered_at - detected, bytes);
   }
   return records;
 }

@@ -22,8 +22,7 @@
 #include <vector>
 
 #include "common/check.h"
-#include "obs/critpath/critpath.h"
-#include "obs/trace.h"
+#include "obs/observer.h"
 
 namespace colsgd {
 
@@ -72,15 +71,11 @@ class SimNetwork {
   int num_nodes() const { return static_cast<int>(out_nic_free_.size()); }
   const NetworkConfig& config() const { return config_; }
 
-  /// \brief Attaches a (non-owning, nullable) tracer that records every
-  /// message. Tracing is passive: it never changes a simulated timestamp.
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
-  Tracer* tracer() const { return tracer_; }
-
-  /// \brief Attaches a (non-owning, nullable) causal critical-path recorder
-  /// that observes every message. Passive, like the tracer.
-  void set_critpath(CritPathRecorder* critpath) { critpath_ = critpath; }
-  CritPathRecorder* critpath() const { return critpath_; }
+  /// \brief Adds a (non-owning) observer that sees every message. Observing
+  /// is passive: it never changes a simulated timestamp. ClusterRuntime's
+  /// Observe also binds the observer to the cluster's shape.
+  void Observe(SimObserver* observer) { observers_.push_back(observer); }
+  const std::vector<SimObserver*>& observers() const { return observers_; }
 
   /// \brief Simulates sending `bytes` from `from` (whose local clock reads
   /// `sender_time`) to `to`. Returns the simulated time at which the message
@@ -109,13 +104,9 @@ class SimNetwork {
     stats_[from].bytes_sent += bytes;
     stats_[to].messages_received++;
     stats_[to].bytes_received += bytes;
-    if (tracer_ != nullptr) {
-      tracer_->RecordNetSend(from, to, bytes, bytes <= kControlMessageBytes,
-                             start, tx_done, rx_start, rx_done);
-    }
-    if (critpath_ != nullptr) {
-      critpath_->OnSend(from, to, bytes, bytes <= kControlMessageBytes,
-                        sender_time, start, tx_done, rx_start, rx_done);
+    for (SimObserver* observer : observers_) {
+      observer->OnSend(from, to, bytes, bytes <= kControlMessageBytes,
+                       sender_time, start, tx_done, rx_start, rx_done);
     }
     return rx_done;
   }
@@ -140,13 +131,9 @@ class SimNetwork {
     stats_[from].bytes_sent += bytes;
     stats_[to].messages_received++;
     stats_[to].bytes_received += bytes;
-    if (tracer_ != nullptr) {
-      tracer_->RecordNetSend(from, to, bytes, /*control=*/true, start, tx_done,
-                             arrival, arrival);
-    }
-    if (critpath_ != nullptr) {
-      critpath_->OnSend(from, to, bytes, /*control=*/true, sender_time, start,
-                        tx_done, arrival, arrival);
+    for (SimObserver* observer : observers_) {
+      observer->OnSend(from, to, bytes, /*control=*/true, sender_time, start,
+                       tx_done, arrival, arrival);
     }
     return arrival;
   }
@@ -177,8 +164,7 @@ class SimNetwork {
   std::vector<SimTime> out_nic_free_;
   std::vector<SimTime> in_nic_free_;
   std::vector<TrafficStats> stats_;
-  Tracer* tracer_ = nullptr;
-  CritPathRecorder* critpath_ = nullptr;
+  std::vector<SimObserver*> observers_;
 };
 
 }  // namespace colsgd

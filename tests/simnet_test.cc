@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
+#include "obs/trace.h"
 #include "simnet/compute_model.h"
 #include "simnet/frame.h"
 #include "simnet/network.h"
@@ -118,7 +119,7 @@ TEST(SimNetworkTest, BackToBackBulkSerializesOnInboundNicExactly) {
 TEST(SimNetworkTest, TracerSeesControlFlagAndRxWindow) {
   SimNetwork net(3, TestNet());
   Tracer tracer;
-  net.set_tracer(&tracer);
+  net.Observe(&tracer);
   const SimTime control_done = net.Send(0, 2, kControlMessageBytes, 0.0);
   const SimTime bulk_done = net.Send(1, 2, kControlMessageBytes + 1, 0.0);
 
@@ -144,7 +145,7 @@ TEST(SimNetworkTest, TracerDoesNotChangeTiming) {
   SimNetwork plain(3, TestNet());
   SimNetwork traced(3, TestNet());
   Tracer tracer;
-  traced.set_tracer(&tracer);
+  traced.Observe(&tracer);
   for (int i = 0; i < 10; ++i) {
     const uint64_t bytes = 64 + 1000 * static_cast<uint64_t>(i);
     EXPECT_DOUBLE_EQ(plain.Send(0, 2, bytes, 0.0),
