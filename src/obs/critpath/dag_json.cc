@@ -20,6 +20,14 @@ bool IsIndex(const JsonValue& v, double lo, double hi) {
   return x >= lo && x < hi && std::floor(x) == x;
 }
 
+// Whether `v` fits an int64_t or a uint64_t field: [-2^63, 2^63) or [0, 2^64).
+bool IsInt64(const JsonValue& v) {
+  return IsIndex(v, -9223372036854775808.0, 9223372036854775808.0);
+}
+bool IsUint64(const JsonValue& v) {
+  return IsIndex(v, 0, 18446744073709551616.0);
+}
+
 // Whether `v` is -1 or names a msg op among the ops of `dag` read so far.
 bool IsMsgRef(const CritDag& dag, const JsonValue& v) {
   const double i = v.number_value();
@@ -42,6 +50,9 @@ Result<CritTerm> TermFromJson(const JsonValue& json, const CritDag& dag) {
   const auto& a = json.array();
   if (!json.is_array() || a.size() != 6) {
     return Status::InvalidArgument("critdag: malformed term");
+  }
+  if (!IsInt64(a[1]) || !IsInt64(a[2])) {
+    return Status::InvalidArgument("critdag: term ref out of range");
   }
   const double kind = a[0].number_value();  // a CritCauseKind
   if (!IsIndex(a[0], 0, 5) || !IsIndex(a[5], -1, dag.num_nodes) ||
@@ -134,6 +145,9 @@ Result<CritOp> OpFromJson(const JsonValue& json, const CritDag& dag) {
     case CritOpKind::kLocal:
     case CritOpKind::kStraggler:
       if (!need(5)) return Status::InvalidArgument("critdag: short advance");
+      if (!IsUint64(a[3])) {
+        return Status::InvalidArgument("critdag: advance flops out of range");
+      }
       op.node = static_cast<uint32_t>(a[1].number_value());
       op.seconds = a[2].number_value();
       op.flops = static_cast<uint64_t>(a[3].number_value());
@@ -144,6 +158,9 @@ Result<CritOp> OpFromJson(const JsonValue& json, const CritDag& dag) {
       if (!IsIndex(a[2], 0, dag.num_nodes) || !IsMsgRef(dag, a[12]) ||
           !IsMsgRef(dag, a[13]) || !IsIndex(a[15], -1, dag.num_nodes)) {
         return Status::InvalidArgument("critdag: msg names no message or node");
+      }
+      if (!IsUint64(a[3])) {
+        return Status::InvalidArgument("critdag: msg bytes out of range");
       }
       op.node = static_cast<uint32_t>(a[1].number_value());
       op.to = static_cast<uint32_t>(a[2].number_value());
@@ -243,7 +260,6 @@ Result<CritDag> CritDagFromJson(const JsonValue& json) {
       clocks == nullptr || keyed == nullptr || ops == nullptr) {
     return Status::InvalidArgument("critdag: missing required field");
   }
-  dag.num_workers = static_cast<int32_t>(num_workers->number_value());
   const JsonValue* latency = net->Find("latency");
   const JsonValue* bandwidth = net->Find("bandwidth");
   const JsonValue* overhead = net->Find("overhead");
@@ -251,6 +267,9 @@ Result<CritDag> CritDagFromJson(const JsonValue& json) {
   if (latency == nullptr || bandwidth == nullptr || overhead == nullptr ||
       control == nullptr) {
     return Status::InvalidArgument("critdag: malformed net block");
+  }
+  if (!IsUint64(*control)) {
+    return Status::InvalidArgument("critdag: control_bytes out of range");
   }
   dag.net_latency = latency->number_value();
   dag.net_bandwidth = bandwidth->number_value();
@@ -264,6 +283,10 @@ Result<CritDag> CritDagFromJson(const JsonValue& json) {
     return Status::InvalidArgument("critdag: final_clocks/num_nodes mismatch");
   }
   dag.num_nodes = static_cast<uint32_t>(dag.final_clocks.size());
+  if (!IsIndex(*num_workers, 0, dag.num_nodes)) {
+    return Status::InvalidArgument("critdag: num_workers out of range");
+  }
+  dag.num_workers = static_cast<int32_t>(num_workers->number_value());
   dag.ops.reserve(ops->array().size());
   for (const JsonValue& row : ops->array()) {
     Result<CritOp> op = OpFromJson(row, dag);
@@ -272,7 +295,8 @@ Result<CritDag> CritDagFromJson(const JsonValue& json) {
   }
   for (const JsonValue& row : keyed->array()) {
     const auto& a = row.array();
-    if (!row.is_array() || a.size() != 3 || !IsMsgRef(dag, a[2])) {
+    if (!row.is_array() || a.size() != 3 || !IsInt64(a[0]) ||
+        !IsInt64(a[1]) || !IsMsgRef(dag, a[2])) {
       return Status::InvalidArgument("critdag: malformed keyed row");
     }
     dag.keyed.push_back({static_cast<int64_t>(a[0].number_value()),

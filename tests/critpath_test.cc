@@ -430,6 +430,69 @@ TEST(CritPathDagTest, RejectsKeyedRowThatNamesNoMsg) {
   }
 }
 
+// The fields below index nothing, but a cast of an out-of-range double to
+// their types is undefined; `"num_workers": 1e300` had loaded, and
+// `colsgd_critpath --check` had printed "-2147483648 workers".
+TEST(CritPathDagTest, RejectsNumWorkersOutsideTheCluster) {
+  const CritDag& dag = RecordedDag();
+  for (const double workers : {1e300, -1.0, double(dag.num_nodes), 2.5}) {
+    ExpectRejected(dag, {"num_workers"}, workers);
+  }
+}
+
+TEST(CritPathDagTest, RejectsControlBytesOutOfRange) {
+  const CritDag& dag = RecordedDag();
+  for (const double bytes : {-5.0, 0x1p64, 1e300, 0.5}) {
+    ExpectRejected(dag, {"net", "control_bytes"}, bytes);
+  }
+}
+
+TEST(CritPathDagTest, RejectsAdvanceFlopsOutOfRange) {
+  const CritDag& dag = RecordedDag();
+  const std::string op = std::to_string(FirstOfKind(dag, CritOpKind::kCompute));
+  for (const double flops : {-1.0, 0x1p64, 1.5}) {
+    ExpectRejected(dag, {"ops", op, "3"}, flops);
+  }
+}
+
+TEST(CritPathDagTest, RejectsMsgBytesOutOfRange) {
+  const CritDag& dag = RecordedDag();
+  const std::string msg = std::to_string(FirstOfKind(dag, CritOpKind::kMsg));
+  for (const double bytes : {-1.0, 0x1p64, 1e300}) {
+    ExpectRejected(dag, {"ops", msg, "3"}, bytes);
+  }
+}
+
+TEST(CritPathDagTest, RejectsStampAndGateTermRefsOutOfRange) {
+  // A kStamp term's stamp id (ref) and a kGate term's group and tick (ref,
+  // ref2) are int64s.
+  const std::vector<std::string> stamp =
+      FirstTermPath(RecordedDag("mxnet"), CritCauseKind::kStamp);
+  const std::vector<std::string> gate =
+      FirstTermPath(RecordedDag(), CritCauseKind::kGate);
+  for (const double ref : {0x1p63, -0x1p64, 1e300, 0.5}) {
+    ExpectRejected(RecordedDag("mxnet"), stamp, ref, "1");
+    ExpectRejected(RecordedDag(), gate, ref, "1");
+    ExpectRejected(RecordedDag(), gate, ref, "2");
+  }
+}
+
+TEST(CritPathDagTest, RejectsKeyedRowGroupOrTickOutOfRange) {
+  const CritDag& dag = RecordedDag();
+  for (const std::string field : {"0", "1"}) {  // group, tick
+    for (const double value : {0x1p63, -1e300, 2.5}) {
+      ExpectRejected(dag, {"keyed", "0"}, value, field);
+    }
+  }
+  // The extremes of the range still load.
+  const Result<CritDag> edge = CritDagFromJson(
+      Edited(Edited(CritDagJson(dag), {"keyed", "0", "0"}, -0x1p63),
+             {"num_workers"}, dag.num_nodes - 1.0));
+  ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+  EXPECT_EQ(edge->keyed[0].group, INT64_MIN);
+  EXPECT_EQ(edge->num_workers, static_cast<int32_t>(dag.num_nodes) - 1);
+}
+
 // --- What-if retiming fidelity --------------------------------------------
 
 TEST(CritPathWhatIfTest, IdentityReplayReproducesMakespan) {
