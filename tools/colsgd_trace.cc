@@ -42,8 +42,11 @@ int Run(int argc, char** argv) {
                   "write per-iteration phase breakdown CSV here");
   flags.AddInt64("topk", &topk, "phases to print, most expensive first");
   flags.ParseOrExit(argc, argv, [&] {
-    return trace_path.empty() ? Status::InvalidArgument("--trace is required")
-                              : Status::OK();
+    if (trace_path.empty()) {
+      return Status::InvalidArgument("--trace is required");
+    }
+    if (topk < 1) return Status::InvalidArgument("--topk must be at least 1");
+    return Status::OK();
   });
 
   Result<ParsedTrace> parsed = ReadChromeTraceFile(trace_path);
@@ -74,7 +77,7 @@ int Run(int argc, char** argv) {
   int64_t iterations = 0;
   std::map<uint32_t, NodeUsage> usage;
   // Named spans on the per-node event tracks (tid 0): serve.*, recovery.*,
-  // checkpoint — everything RecordSpan emits besides the bulk
+  // checkpoint — every SimObserver::OnSpan event, as opposed to the bulk
   // compute / mem.touch / net.send machinery.
   struct SpanStats {
     double seconds = 0.0;
@@ -142,9 +145,7 @@ int Run(int argc, char** argv) {
     std::printf("\ntop phases (master clock):\n");
     std::printf("  %-14s %12s %8s %12s %12s %12s\n", "phase", "total", "share",
                 "p50", "p95", "p99");
-    const size_t n =
-        std::min(phases.size(), static_cast<size_t>(std::max<int64_t>(
-                                    topk, 0)));
+    const size_t n = std::min(phases.size(), static_cast<size_t>(topk));
     // Always surface staleness waits and serving phases, even when they fall
     // below the top-k cut — they are what the summary is usually asked for.
     std::set<size_t> shown;
