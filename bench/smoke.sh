@@ -43,9 +43,6 @@ run bench_serving --requests 300 --rate 4000 --query_rows 400 --query_features 3
 # Wall-clock kernel calibration: host-independent gate metrics (closure-error
 # excess, profile validity) must stay zero; the measured rates are telemetry.
 run bench_kernels --repeats 3 --inner_iters 4 --bench_out "$ROOT"
-# bench_micro is a Google-benchmark binary; listing its cases exercises
-# registration without timing anything.
-run bench_micro --benchmark_list_tests
 
 # The table-IV harness must emit the phase-breakdown columns produced by the
 # tracing subsystem (src/obs).

@@ -21,13 +21,8 @@ class BufferWriter {
   BufferWriter() = default;
   explicit BufferWriter(size_t reserve) { buf_.reserve(reserve); }
 
-  void PutU8(uint8_t v) { buf_.push_back(v); }
   void PutU32(uint32_t v) { PutRaw(&v, sizeof(v)); }
   void PutU64(uint64_t v) { PutRaw(&v, sizeof(v)); }
-  void PutI32(int32_t v) { PutRaw(&v, sizeof(v)); }
-  void PutI64(int64_t v) { PutRaw(&v, sizeof(v)); }
-  void PutFloat(float v) { PutRaw(&v, sizeof(v)); }
-  void PutDouble(double v) { PutRaw(&v, sizeof(v)); }
 
   /// \brief Length-prefixed string.
   void PutString(const std::string& s) {
@@ -82,13 +77,8 @@ class BufferReader {
   explicit BufferReader(const std::vector<uint8_t>& buf)
       : BufferReader(buf.data(), buf.size()) {}
 
-  Result<uint8_t> GetU8() { return Get<uint8_t>(); }
   Result<uint32_t> GetU32() { return Get<uint32_t>(); }
   Result<uint64_t> GetU64() { return Get<uint64_t>(); }
-  Result<int32_t> GetI32() { return Get<int32_t>(); }
-  Result<int64_t> GetI64() { return Get<int64_t>(); }
-  Result<float> GetFloat() { return Get<float>(); }
-  Result<double> GetDouble() { return Get<double>(); }
 
   Result<std::string> GetString() {
     COLSGD_ASSIGN_OR_RETURN(uint32_t n, GetU32());

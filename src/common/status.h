@@ -90,7 +90,6 @@ class Status {
   bool IsIOError() const { return code() == StatusCode::kIOError; }
   bool IsOutOfMemory() const { return code() == StatusCode::kOutOfMemory; }
   bool IsNotFound() const { return code() == StatusCode::kNotFound; }
-  bool IsUnavailable() const { return code() == StatusCode::kUnavailable; }
   bool IsFailedPrecondition() const {
     return code() == StatusCode::kFailedPrecondition;
   }

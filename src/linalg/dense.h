@@ -4,7 +4,6 @@
 #ifndef COLSGD_LINALG_DENSE_H_
 #define COLSGD_LINALG_DENSE_H_
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -13,21 +12,10 @@
 
 namespace colsgd {
 
-/// \brief out += scale * in (element-wise, equal sizes).
-inline void Axpy(double scale, const std::vector<double>& in,
-                 std::vector<double>* out) {
-  COLSGD_CHECK_EQ(in.size(), out->size());
-  kernels::DenseAxpy(scale, in.data(), out->data(), in.size());
-}
-
 /// \brief Element-wise sum into `out` (used by statistics reduction).
 inline void AddInto(const std::vector<double>& in, std::vector<double>* out) {
   COLSGD_CHECK_EQ(in.size(), out->size());
   kernels::DenseAdd(in.data(), out->data(), in.size());
-}
-
-inline void Scale(double s, std::vector<double>* v) {
-  for (auto& x : *v) x *= s;
 }
 
 inline double Dot(const std::vector<double>& a, const std::vector<double>& b) {
@@ -38,12 +26,6 @@ inline double Dot(const std::vector<double>& a, const std::vector<double>& b) {
 inline double SquaredNorm(const std::vector<double>& v) {
   double acc = 0.0;
   for (double x : v) acc += x * x;
-  return acc;
-}
-
-inline double L1Norm(const std::vector<double>& v) {
-  double acc = 0.0;
-  for (double x : v) acc += std::fabs(x);
   return acc;
 }
 
