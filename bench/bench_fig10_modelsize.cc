@@ -1,8 +1,9 @@
 // Fig. 10: scalability w.r.t. model size — per-iteration time of ColumnSGD
 // training LR on criteo-style synthetic datasets whose dimension sweeps from
 // 10 to 10^8 (pass --max_dim=1000000000 for the paper's full 10^9 sweep;
-// the default stops at 10^8 to stay within 15 GB of host RAM). The number
-// of non-zero features per row is held fixed, as in Boden et al.
+// the 10^9 point alone peaks at about 8 GB of host RAM, so the default
+// stops at 10^8). The number of non-zero features per row is held fixed, as
+// in Boden et al.
 #include "bench/bench_runner.h"
 #include "bench/bench_util.h"
 #include "engine/columnsgd.h"
